@@ -13,8 +13,8 @@ from .geometry import (DensityField, PolygonParams, ProjectionConfig, SampleGrid
                        rasterize_primitive, threshold)
 from .mma import MmaConfig, MmaState, kkt_residual, mma_update
 from .problem import (BENCHMARKS, ConfigError, Model, OptimizeResult, ProblemSpec,
-                      RunHistory, SolverAbort, builtin_problem, denormalize,
-                      initialize, normalize_params, optimize)
-from .sensitivity import ForwardState, fd_check, grad_compliance, grad_volume
+                      RunHistory, SolverAbort, builtin_problem, initialize,
+                      optimize)
+from .sensitivity import ForwardState, fd_check
 
 __version__ = "0.1.0"

@@ -315,9 +315,6 @@ def cmd_check_grad(args) -> int:
     z = initialize(spec)
     step = args.step if args.step is not None else 1e-6
 
-    if args.corrupt_entry is not None:
-        model = _CorruptedModel(model, args.corrupt_entry)
-
     try:
         entries = sensitivity.fd_check(model, z, step=step)
     except SingularSystemError as exc:
@@ -350,24 +347,6 @@ def cmd_check_grad(args) -> int:
     worst = max((e.max_rel_err for e in checked), default=0.0)
     print(f"worst relative error over {len(checked)} checked entries: {worst:.3e}")
     return EXIT_OK if worst < 1e-3 else EXIT_GRAD
-
-
-class _CorruptedModel:
-    """Test hook wrapping a model with one deliberately wrong gradient entry."""
-
-    def __init__(self, model: Model, entry: int):
-        self._model = model
-        self._entry = entry
-        self.full_size = model.full_size
-        self.full_to_free = model.full_to_free
-        self.label_for_index = model.label_for_index
-        self.evaluate = model.evaluate
-
-    def forward_gradients(self, z):
-        j_val, g_val, dj, dg = self._model.forward_gradients(z)
-        dj = np.array(dj)
-        dj[self._entry] = dj[self._entry] * 1.1 + 1e-3
-        return j_val, g_val, dj, dg
 
 
 def _apply_sweep_value(doc: dict, param: str, token: str) -> dict:
@@ -461,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of worst rows to print (default 10)")
     grad.add_argument("--step", type=float, default=None,
                       help="central difference step (default 1e-6)")
-    grad.add_argument("--corrupt-entry", type=int, default=None,
-                      help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_check_grad)
 
     sweep = sub.add_parser("sweep", help="run a series of configs varying one parameter")

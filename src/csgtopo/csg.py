@@ -133,15 +133,12 @@ def combine_grad_operand(rx, ry, b):
     return (b[1] + b[2]) + cross * ry, (b[1] + b[3]) + cross * rx
 
 
-def combine_grad_weights(rx, ry) -> np.ndarray:
-    """Partials of combine with respect to (b0, b1, b2, b3), stacked last."""
+def combine_grad_weights(rx, ry, axis: int = -1) -> np.ndarray:
+    """Partials of combine with respect to (b0, b1, b2, b3), stacked on axis."""
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     prod = rx * ry
-    return np.stack(
-        [prod, rx + ry - prod, rx - prod, ry - prod],
-        axis=-1,
-    )
+    return np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=axis)
 
 
 def snap_to_onehot(b) -> np.ndarray:
@@ -277,25 +274,36 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray,
 
     Returns (leaf_seeds, weight_grads): leaf_seeds[i] is the sensitivity of
     the objective to leaf field i, weight_grads[k] its gradient in node k's
-    four weights.
+    four weights.  A stacked (m, n_cells) seed pulls back m objectives in
+    one walk; both results then gain a leading axis of length m.  The walk
+    handles one tree level at a time: the nodes first..2*first of a level
+    have their left children at the odd and their right children at the
+    even rows of 2*first+1..4*first+2.
     """
+    seed = np.asarray(seed, dtype=float)
+    seeds = np.atleast_2d(seed)
     n_internal = weights.shape[0]
-    grads = np.zeros_like(node_values)
-    grads[0] = seed
-    weight_grads = np.empty((n_internal, 4))
-    for k in range(n_internal):
-        rx = node_values[2 * k + 1]
-        ry = node_values[2 * k + 2]
-        g = grads[k]
-        d_rx, d_ry = combine_grad_operand(rx, ry, weights[k])
-        grads[2 * k + 1] += g * d_rx
-        grads[2 * k + 2] += g * d_ry
-        prod = rx * ry
-        weight_grads[k, 0] = g @ prod
-        weight_grads[k, 1] = g @ (rx + ry - prod)
-        weight_grads[k, 2] = g @ (rx - prod)
-        weight_grads[k, 3] = g @ (ry - prod)
-    return grads[n_internal:], weight_grads
+    grads = np.zeros((seeds.shape[0],) + node_values.shape)
+    grads[:, 0] = seeds
+    weight_grads = np.empty((seeds.shape[0], n_internal, 4))
+    first = 0
+    while first < n_internal:
+        level = slice(first, 2 * first + 1)
+        left = slice(2 * first + 1, 4 * first + 2, 2)
+        right = slice(2 * first + 2, 4 * first + 3, 2)
+        rx, ry = node_values[left], node_values[right]
+        g = grads[:, level]
+        # weights as (4, n_level, 1) so each node's b broadcasts over its cells
+        d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
+        grads[:, left] += g * d_rx
+        grads[:, right] += g * d_ry
+        # one dot per (objective, node, weight), the same sum as a 1-D g @ partial
+        weight_grads[:, level] = np.vecdot(g[:, :, None, :],
+                                           combine_grad_weights(rx, ry, axis=1))
+        first = 2 * first + 1
+    if seed.ndim == 1:
+        return grads[0, n_internal:], weight_grads[0]
+    return grads[:, n_internal:], weight_grads
 
 
 @dataclass(eq=False)

@@ -8,6 +8,13 @@ chain
 
 so the resulting field is differentiable in every polygon parameter.
 Signed distances are negative inside a shape.
+
+rasterize_with_tape runs the chain for all n_p primitives at once on an
+(n_p, n_cells, S) array and keeps one batched ProjectionTape;
+projection_param_grad pulls per-cell sensitivities of every primitive (and
+of several objectives stacked on leading axes) back through that tape.
+polygon_sdf, project_density, threshold and threshold_derivative are the
+single-stage forms of the same formulas.
 """
 
 from __future__ import annotations
@@ -178,16 +185,34 @@ def halfspace_sdfs(p: PolygonParams, x, y) -> np.ndarray:
             + (y - p.cy)[..., None] * np.sin(ang) - p.d)
 
 
-def polygon_sdf(p: PolygonParams, x, y, cfg: ProjectionConfig):
-    """Smooth polygon signed distance: (l0/t)-scaled LogSumExp of the half-spaces.
+def _smooth_max(phi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1/s)-scaled LogSumExp over the trailing axis and its softmax weights.
 
     The max is subtracted before exponentiation so the exponents never
-    overflow; the result always dominates the exact maximum.
+    overflow; the result always dominates the exact maximum.  phi is
+    overwritten with the weights.
     """
-    phi = halfspace_sdfs(p, x, y)
-    s = cfg.t / cfg.l0
-    m = phi.max(axis=-1)
-    return m + np.log(np.exp(s * (phi - m[..., None])).sum(axis=-1)) / s
+    m = phi[..., 0].copy()
+    for j in range(1, phi.shape[-1]):  # numpy reduces a short trailing axis slowly
+        np.maximum(m, phi[..., j], out=m)
+    phi -= m[..., None]
+    phi *= s
+    np.exp(phi, out=phi)
+    z = phi.sum(axis=-1)
+    phi /= z[..., None]
+    return m + np.log(z) / s, phi
+
+
+def _threshold_chain(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold filter value and derivative at r, sharing one tanh."""
+    th = math.tanh(0.5 * beta)
+    u = np.tanh(beta * (r - 0.5))
+    return (th + u) / (2.0 * th), beta * (1.0 - u * u) / (2.0 * th)
+
+
+def polygon_sdf(p: PolygonParams, x, y, cfg: ProjectionConfig):
+    """Smooth polygon signed distance: (l0/t)-scaled LogSumExp of the half-spaces."""
+    return _smooth_max(halfspace_sdfs(p, x, y), cfg.t / cfg.l0)[0]
 
 
 def project_density(phi, cfg: ProjectionConfig):
@@ -203,84 +228,86 @@ def threshold(rho_tilde, cfg: ProjectionConfig):
     r = np.asarray(rho_tilde, dtype=float)
     if (r < -_RANGE_TOL).any() or (r > 1.0 + _RANGE_TOL).any():
         raise ValueError("threshold input must lie in [0, 1]")
-    r = np.clip(r, 0.0, 1.0)
-    th = math.tanh(0.5 * cfg.beta)
-    return (th + np.tanh(cfg.beta * (r - 0.5))) / (2.0 * th)
+    return _threshold_chain(np.clip(r, 0.0, 1.0), cfg.beta)[0]
 
 
 def threshold_derivative(rho_tilde, cfg: ProjectionConfig):
-    r = np.asarray(rho_tilde, dtype=float)
-    th = math.tanh(0.5 * cfg.beta)
-    u = np.tanh(cfg.beta * (r - 0.5))
-    return cfg.beta * (1.0 - u * u) / (2.0 * th)
+    return _threshold_chain(np.asarray(rho_tilde, dtype=float), cfg.beta)[1]
 
 
 @dataclass(eq=False)
 class ProjectionTape:
-    """Intermediates of one primitive's projection, kept for the pullback.
+    """Intermediates of the projection of n_p primitives, kept for the pullback.
 
     lse_weights holds the per-cell softmax weights of the half-spaces;
     d_sigmoid and d_threshold are the local derivatives of the last two
     stages of the chain.
     """
 
-    cos_a: np.ndarray      # (S,)
-    sin_a: np.ndarray      # (S,)
-    rel_x: np.ndarray      # (n_cells,) x - cx
-    rel_y: np.ndarray      # (n_cells,)
-    lse_weights: np.ndarray  # (n_cells, S)
-    d_sigmoid: np.ndarray    # (n_cells,) d rho_tilde / d phi
-    d_threshold: np.ndarray  # (n_cells,) d rho / d rho_tilde
+    cos_a: np.ndarray        # (n_p, S)
+    sin_a: np.ndarray        # (n_p, S)
+    rel_x: np.ndarray        # (n_p, n_cells) x - cx
+    rel_y: np.ndarray        # (n_p, n_cells)
+    lse_weights: np.ndarray  # (n_p, n_cells, S)
+    d_sigmoid: np.ndarray    # (n_p, n_cells) d rho_tilde / d phi
+    d_threshold: np.ndarray  # (n_p, n_cells) d rho / d rho_tilde
 
 
-def rasterize_with_tape(p: PolygonParams, grid: SampleGrid,
-                        cfg: ProjectionConfig) -> tuple[DensityField, ProjectionTape]:
-    """Project one polygon onto the grid and keep the chain intermediates."""
+def rasterize_with_tape(params, grid: SampleGrid,
+                        cfg: ProjectionConfig) -> tuple[np.ndarray, ProjectionTape]:
+    """Project a sequence of polygons with a common side count in one pass.
+
+    Returns the (n_p, n_cells) densities, one row per polygon, and the tape
+    of the whole chain.
+    """
     pts = grid.points
-    ang = p.angles
+    d = np.vstack([p.d for p in params])
+    ang = np.array([p.theta for p in params])[:, None] + base_angles(d.shape[1])
     cos_a = np.cos(ang)
     sin_a = np.sin(ang)
-    rel_x = pts[:, 0] - p.cx
-    rel_y = pts[:, 1] - p.cy
-    phi_hat = rel_x[:, None] * cos_a + rel_y[:, None] * sin_a - p.d
+    rel_x = pts[:, 0] - np.array([p.cx for p in params])[:, None]
+    rel_y = pts[:, 1] - np.array([p.cy for p in params])[:, None]
+    # built sides-first, so numpy broadcasts along long contiguous rows, then
+    # stored cells-first: the pullback multiplies by (n_cells, S) blocks
+    phi_hat = rel_x[:, None, :] * cos_a[..., None]
+    phi_hat += rel_y[:, None, :] * sin_a[..., None]
+    phi_hat -= d[..., None]
+    phi_hat = np.ascontiguousarray(phi_hat.transpose(0, 2, 1))
 
-    s = cfg.t / cfg.l0
-    m = phi_hat.max(axis=1)
-    e = np.exp(s * (phi_hat - m[:, None]))
-    z = e.sum(axis=1)
-    phi = m + np.log(z) / s
-    weights = e / z[:, None]
-
-    rho_tilde = expit(-(cfg.gamma / cfg.l0) * phi)
+    phi, weights = _smooth_max(phi_hat, cfg.t / cfg.l0)
+    rho_tilde = project_density(phi, cfg)
     d_sigmoid = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
-
-    th = math.tanh(0.5 * cfg.beta)
-    u = np.tanh(cfg.beta * (rho_tilde - 0.5))
-    rho = (th + u) / (2.0 * th)
-    d_threshold = cfg.beta * (1.0 - u * u) / (2.0 * th)
-
-    field = DensityField(rho, grid)
+    rho, d_threshold = _threshold_chain(rho_tilde, cfg.beta)
+    np.clip(rho, 0.0, 1.0, out=rho)
     tape = ProjectionTape(cos_a, sin_a, rel_x, rel_y, weights, d_sigmoid, d_threshold)
-    return field, tape
+    return rho, tape
 
 
 def rasterize_primitive(p: PolygonParams, grid: SampleGrid,
                         cfg: ProjectionConfig) -> DensityField:
     """Project one polygon onto the grid: threshold(sigmoid(polygon_sdf))."""
-    return rasterize_with_tape(p, grid, cfg)[0]
+    return DensityField(rasterize_with_tape([p], grid, cfg)[0][0], grid)
 
 
 def projection_param_grad(tape: ProjectionTape, seed: np.ndarray):
-    """Pull a per-cell sensitivity back to (cx, cy, theta, d).
+    """Pull per-cell sensitivities back to every primitive's (cx, cy, theta, d).
 
-    seed[e] is d(objective)/d(rho[e]) for this primitive's field; returns
-    (d_cx, d_cy, d_theta, d_d) with d_d of length S.
+    seed[..., i, e] is d(objective)/d(rho[i, e]) for primitive i; leading
+    axes stack independent objectives.  Returns (d_cx, d_cy, d_theta, d_d),
+    the first three shaped seed.shape[:-1] and d_d with a trailing S axis.
     """
     chain = seed * tape.d_threshold * tape.d_sigmoid
-    a = tape.lse_weights.T @ chain
-    d_cx = -float(tape.cos_a @ a)
-    d_cy = -float(tape.sin_a @ a)
-    sx = tape.lse_weights.T @ (chain * tape.rel_x)
-    sy = tape.lse_weights.T @ (chain * tape.rel_y)
-    d_theta = float(tape.cos_a @ sy - tape.sin_a @ sx)
+    weights_t = tape.lse_weights.swapaxes(-1, -2)
+
+    def pull(v):
+        # one gemv W_i^T v_i per primitive and objective, as on a single
+        # primitive; a stacked gemm would sum in another order
+        return np.matmul(weights_t, v[..., None])[..., 0]
+
+    a = pull(chain)
+    sx = pull(chain * tape.rel_x)
+    sy = pull(chain * tape.rel_y)
+    d_cx = -np.vecdot(tape.cos_a, a)
+    d_cy = -np.vecdot(tape.sin_a, a)
+    d_theta = np.vecdot(tape.cos_a, sy) - np.vecdot(tape.sin_a, sx)
     return d_cx, d_cy, d_theta, -a

@@ -33,8 +33,6 @@ __all__ = [
     "OptimizeResult",
     "builtin_problem",
     "initialize",
-    "denormalize",
-    "normalize_params",
     "optimize",
 ]
 
@@ -193,6 +191,21 @@ class ProblemSpec:
         if self.benchmark is not None and (self.fixed_dofs is not None
                                            or self.loads is not None):
             fail("benchmark", "explicit fixed_dofs/loads require benchmark = null")
+        if self.benchmark is None:
+            ndof = 2 * (self.nx + 1) * (self.ny + 1)
+            load_dofs = [dof for dof, _ in self.loads]
+            for name, dofs in (("fixed_dofs", self.fixed_dofs), ("loads", load_dofs)):
+                if len(dofs) == 0:
+                    fail(name, "must not be empty")
+                for dof in dofs:
+                    if not 0 <= dof < ndof:
+                        fail(name, f"dof {dof} out of range [0, {ndof})")
+            dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})
+            if dups:
+                fail("loads", f"dof {dups[0]} is loaded more than once")
+            on_fixed = sorted(set(load_dofs).intersection(self.fixed_dofs))
+            if on_fixed:
+                fail("loads", f"dof {on_fixed[0]} is also in fixed_dofs")
 
 
 def builtin_problem(name: str, nx: int, ny: int) -> fea.BoundaryConditions:
@@ -327,13 +340,7 @@ class Model:
         """Full forward pass keeping the intermediates the gradients need."""
         t0 = time.perf_counter()
         params, weights = self.denormalize(z)
-        fields = []
-        tapes = []
-        for p in params:
-            f, tape = geometry.rasterize_with_tape(p, self.grid, self.cfg)
-            fields.append(f.values)
-            tapes.append(tape)
-        leaf_values = np.vstack(fields)
+        leaf_values, tape = geometry.rasterize_with_tape(params, self.grid, self.cfg)
         t1 = time.perf_counter()
         node_values = csg.evaluate_tree_values(weights, leaf_values)
         t2 = time.perf_counter()
@@ -342,13 +349,31 @@ class Model:
         g_v = fea.volume_constraint(root, self.spec.vf_star, self.mesh)
         t3 = time.perf_counter()
         return sensitivity.ForwardState(
-            z=np.array(z, dtype=float), params=params, weights=weights, tapes=tapes,
-            node_values=node_values, u=u, J=j_val, g_v=g_v,
-            mesh=self.mesh, material=self.material, k0=self.k0,
-            vf_star=self.spec.vf_star, softmax_scale=self.spec.softmax_scale,
-            frozen=self.frozen, scales=self.scales,
+            weights=weights, tape=tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
             timings={"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2},
         )
+
+    def gradients(self, state: sensitivity.ForwardState) -> tuple[np.ndarray, np.ndarray]:
+        """(dJ/dz, dg_v/dz) of a completed forward pass.
+
+        Both field seeds are pulled back together as one (2, n_cells) stack:
+        one tree walk and one pass through the projection tape.
+        """
+        state.require_complete()
+        seeds = np.stack([
+            sensitivity.grad_compliance(state.u, state.field_values, self.mesh,
+                                        self.material, self.k0),
+            sensitivity.grad_volume(self.mesh, self.spec.vf_star)])
+        leaf_seeds, weight_grads = csg.tree_backward(state.weights, state.node_values,
+                                                     seeds)
+        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(state.tape, leaf_seeds)
+        s = self.scales
+        b = state.weights[self.free_nodes]
+        gb = weight_grads[:, self.free_nodes]
+        d_b = self.spec.softmax_scale * b * (gb - np.vecdot(b, gb)[..., None])
+        out = np.hstack([d_cx * s["cx"], d_cy * s["cy"], d_th * s["theta"],
+                         (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
+        return out[0], out[1]
 
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
         """(J, g_v) only; used by finite differencing."""
@@ -358,16 +383,7 @@ class Model:
     def forward_gradients(self, z: np.ndarray):
         """(J, g_v, dJ/dz, dg_v/dz) in one pass."""
         state = self.forward(z)
-        return state.J, state.g_v, sensitivity.grad_compliance(state), \
-            sensitivity.grad_volume(state)
-
-
-def denormalize(z: np.ndarray, spec: ProblemSpec):
-    return Model(spec).denormalize(z)
-
-
-def normalize_params(params, spec: ProblemSpec) -> np.ndarray:
-    return Model(spec).normalize_params(params)
+        return (state.J, state.g_v, *self.gradients(state))
 
 
 # -- optimization loop -------------------------------------------------------
@@ -445,8 +461,7 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
         try:
             fwd = model.forward(z)
             t_grad0 = time.perf_counter()
-            dj = sensitivity.grad_compliance(fwd)
-            dg = sensitivity.grad_volume(fwd)
+            dj, dg = model.gradients(fwd)
             t_grad1 = time.perf_counter()
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, it) from exc
@@ -464,6 +479,8 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
             callback(history.records[-1])
         log.debug("iter %d: J=%.6g g=%.3e kkt=%.3e step=%.3e", it, fwd.J, fwd.g_v,
                   kkt, step)
+        # release the tape and node fields before the next forward pass
+        del fwd
         z = z_new
         if kkt < cfg.kkt_tol:
             reason = "kkt"
@@ -481,8 +498,7 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
     spec = model.spec
     params, weights = model.denormalize(z)
     tree = csg.CsgTree(spec.tree_depth, weights, model.frozen)
-    leaf_values = np.vstack([
-        geometry.rasterize_primitive(p, model.grid, model.cfg).values for p in params])
+    leaf_values = geometry.rasterize_with_tape(params, model.grid, model.cfg)[0]
 
     def solve_tree(t: csg.CsgTree):
         values = csg.evaluate_tree_values(t.weights, leaf_values)

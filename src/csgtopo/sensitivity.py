@@ -4,10 +4,12 @@ Compliance is self-adjoint, so its field sensitivity is
 
     dJ/drho_e = -p (E0 - Emin) rho_e^(p-1) * u_e . K0 . u_e
 
-per element; that seed (and the constant volume seed) is pulled back through
-the Boolean tree, each primitive's projection chain, the softmax operator
-encoding, and the affine de-normalization of the design vector.  A central
-finite-difference harness verifies any entry of either gradient.
+per element (grad_compliance).  Model.gradients stacks that seed and the
+constant volume seed (grad_volume) into one (2, n_cells) array and pulls both back together: one walk down the
+Boolean tree, one pass through the batched projection tape of all
+primitives, then the softmax operator encoding and the affine
+de-normalization of the design vector.  A central finite-difference harness
+verifies any entry of either gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import csg, fea, geometry
+from . import fea, geometry
 
 __all__ = [
     "ForwardState",
@@ -30,101 +32,52 @@ __all__ = [
 
 @dataclass(eq=False)
 class ForwardState:
-    """Everything one forward pass produced, plus the fixed problem context.
+    """Everything one forward pass produced.
 
-    The gradient routines require a completed pass: tapes, node_values and u
-    must all be present.
+    The gradients require a completed pass: tape, node_values and u must
+    all be present.
     """
 
-    z: np.ndarray
-    params: list
     weights: np.ndarray                  # (n_internal, 4)
-    tapes: list                          # ProjectionTape per primitive
+    tape: geometry.ProjectionTape        # all primitives
     node_values: np.ndarray              # (n_nodes, n_cells), root in row 0
     u: np.ndarray                        # full-length displacements
     J: float
     g_v: float
-    # context
-    mesh: fea.Mesh = None
-    material: fea.Material = None
-    k0: np.ndarray = None
-    vf_star: float = None
-    softmax_scale: float = None
-    frozen: dict[int, int] = field(default_factory=dict)
-    scales: dict[str, float] = field(default_factory=dict)  # affine block widths
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def field_values(self) -> np.ndarray:
         return self.node_values[0]
 
-    def _require_complete(self):
-        if self.u is None or self.node_values is None or not self.tapes:
+    def require_complete(self):
+        if self.u is None or self.node_values is None or self.tape is None:
             raise ValueError("forward state incomplete: run a full forward pass first")
 
 
-def compliance_field_grad(state: ForwardState) -> np.ndarray:
-    """dJ/drho_e from the self-adjoint compliance rule."""
-    m = state.material
-    ce = fea.element_energies(state.u, state.mesh, state.k0)
-    rho = state.field_values
+def grad_compliance(u: np.ndarray, rho: np.ndarray, mesh: fea.Mesh,
+                    material: fea.Material, k0: np.ndarray) -> np.ndarray:
+    """dJ/drho_e, the compliance field seed, from the self-adjoint rule."""
+    m = material
+    ce = fea.element_energies(u, mesh, k0)
     return -m.penalty * (m.e0 - m.emin) * rho ** (m.penalty - 1.0) * ce
 
 
-def volume_field_grad(state: ForwardState) -> np.ndarray:
-    """dg_v/drho_e = v_e / (vf* sum v_e), constant across elements."""
-    mesh = state.mesh
+def grad_volume(mesh: fea.Mesh, vf_star: float) -> np.ndarray:
+    """dg_v/drho_e = v_e / (vf* sum v_e), the volume field seed, constant."""
     total = mesh.element_area * mesh.n_elements
-    return np.full(mesh.n_elements, mesh.element_area / (state.vf_star * total))
+    return np.full(mesh.n_elements, mesh.element_area / (vf_star * total))
 
 
-def _field_grad_to_design(state: ForwardState, seed: np.ndarray) -> np.ndarray:
-    """Pull a root-field sensitivity back to the normalized design vector."""
-    n_p = len(state.params)
-    sides = state.params[0].sides
-    leaf_seeds, weight_grads = csg.tree_backward(state.weights, state.node_values, seed)
-
-    out = np.zeros(state.z.size)
-    s = state.scales
-    for i, tape in enumerate(state.tapes):
-        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(tape, leaf_seeds[i])
-        out[i] = d_cx * s["cx"]
-        out[n_p + i] = d_cy * s["cy"]
-        out[2 * n_p + i] = d_th * s["theta"]
-        out[3 * n_p + i * sides: 3 * n_p + (i + 1) * sides] = d_d * s["d"]
-
-    offset = n_p * (sides + 3)
-    for node in range(state.weights.shape[0]):
-        if node in state.frozen:
-            continue
-        b = state.weights[node]
-        gb = weight_grads[node]
-        out[offset:offset + 4] = state.softmax_scale * b * (gb - float(b @ gb))
-        offset += 4
-    return out
-
-
-def grad_compliance(state: ForwardState) -> np.ndarray:
-    """dJ/dz for the normalized design vector of a completed forward pass."""
-    state._require_complete()
-    return _field_grad_to_design(state, compliance_field_grad(state))
-
-
-def grad_volume(state: ForwardState) -> np.ndarray:
-    """dg_v/dz for the normalized design vector of a completed forward pass."""
-    state._require_complete()
-    return _field_grad_to_design(state, volume_field_grad(state))
-
-
-def central_difference(fn, z: np.ndarray, index: int, step: float) -> float:
-    """Central difference of a scalar function of z in one coordinate."""
+def central_difference(fn, z: np.ndarray, index: int, step: float):
+    """Central difference of a scalar or vector function of z in one coordinate."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     zp = np.array(z, dtype=float)
     zm = np.array(z, dtype=float)
     zp[index] += step
     zm[index] -= step
-    return (fn(zp) - fn(zm)) / (2.0 * step)
+    return (np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2.0 * step)
 
 
 FD_FLOOR = 1e-7  # |FD| below this is indistinguishable from difference noise
@@ -181,14 +134,7 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
         if free < 0:
             entries.append(FdEntry(index=idx, label=label, skipped=True))
             continue
-        zp = np.array(z, dtype=float)
-        zm = np.array(z, dtype=float)
-        zp[free] += step
-        zm[free] -= step
-        jp, gp = model.evaluate(zp)
-        jm, gm = model.evaluate(zm)
-        fd_j = (jp - jm) / (2.0 * step)
-        fd_g = (gp - gm) / (2.0 * step)
+        fd_j, fd_g = map(float, central_difference(model.evaluate, z, free, step))
         entries.append(FdEntry(
             index=idx, label=label,
             analytic_j=float(dj[free]), fd_j=fd_j, rel_err_j=_rel_err(dj[free], fd_j),

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 
 from csgtopo.cli import main
+from csgtopo.problem import Model
 
 QUICK = {
     "nx": 12, "ny": 6, "tree_depth": 2, "sides": 4,
@@ -154,9 +155,28 @@ def test_check_grad_passes_on_clean_gradients(tmp_path):
     assert main(["check-grad", "--config", str(cfg), "--entries", "5"]) == 0
 
 
-def test_check_grad_detects_corruption(tmp_path):
+def test_check_grad_detects_corruption(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, GRAD_CHECK)
-    assert main(["check-grad", "--config", str(cfg), "--corrupt-entry", "0"]) == 3
+    clean = Model.forward_gradients
+
+    def corrupted(self, z):
+        j_val, g_val, dj, dg = clean(self, z)
+        dj = np.array(dj)
+        dj[0] = dj[0] * 1.1 + 1e-3
+        return j_val, g_val, dj, dg
+
+    monkeypatch.setattr(Model, "forward_gradients", corrupted)
+    assert main(["check-grad", "--config", str(cfg)]) == 3
+
+
+def test_run_rejects_load_on_fixed_dof(tmp_path, capsys):
+    # the load would be dropped by the reduction and the run "converge" at J = 0
+    doc = {**GRAD_CHECK, "loads": [[0, -1.0]]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 1
+    assert "loads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_grad_rejects_zero_step(tmp_path):

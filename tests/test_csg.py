@@ -182,6 +182,21 @@ def test_evaluate_tree_grid_mismatch():
         evaluate_tree(tree, [a, b])
 
 
+def test_tree_backward_stacked_rows_equal_single_seed_calls():
+    rng = np.random.default_rng(9)
+    depth, n_cells = 3, 40
+    weights = np.vstack([simplex(rng) for _ in range(2 ** depth - 1)])
+    node_values = evaluate_tree_values(weights, rng.random((2 ** depth, n_cells)))
+    seeds = rng.standard_normal((3, n_cells))
+    leaf_grads, weight_grads = tree_backward(weights, node_values, seeds)
+    assert leaf_grads.shape == (3, 2 ** depth, n_cells)
+    assert weight_grads.shape == (3, 2 ** depth - 1, 4)
+    for r in range(3):
+        leaf_r, weight_r = tree_backward(weights, node_values, seeds[r])
+        assert np.array_equal(leaf_grads[r], leaf_r)
+        assert np.array_equal(weight_grads[r], weight_r)
+
+
 def test_tree_backward_matches_fd():
     rng = np.random.default_rng(4)
     depth, n_cells = 2, 12

@@ -257,9 +257,9 @@ def test_projection_param_grad_matches_fd():
     rng = np.random.default_rng(5)
     seed = rng.standard_normal(grid.n_cells)
 
-    _, tape = rasterize_with_tape(p, grid, cfg)
-    d_cx, d_cy, d_th, d_d = projection_param_grad(tape, seed)
-    analytic = np.concatenate([[d_cx, d_cy, d_th], d_d])
+    _, tape = rasterize_with_tape([p], grid, cfg)
+    d_cx, d_cy, d_th, d_d = projection_param_grad(tape, seed[None])
+    analytic = np.concatenate([d_cx, d_cy, d_th, d_d[0]])
 
     def objective(cx, cy, th, d):
         q = PolygonParams(cx, cy, th, d)
@@ -282,3 +282,39 @@ def test_projection_param_grad_matches_fd():
     assert mask.any()
     rel = np.abs(analytic[mask] - fd[mask]) / np.abs(fd[mask])
     assert rel.max() < 1e-4
+
+
+# -- batched chain -------------------------------------------------------------------
+
+def random_polygons(rng, n, sides, lx, ly):
+    return [PolygonParams(rng.uniform(0, lx), rng.uniform(0, ly),
+                          rng.uniform(0, 2 * math.pi / sides),
+                          rng.uniform(0.0, 0.25 * lx, sides)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("sides", [3, 6])
+def test_batched_rasterize_equals_per_primitive(sides):
+    grid = SampleGrid(20, 10, 60.0, 30.0)
+    cfg = ProjectionConfig.for_domain(60.0, 30.0)
+    params = random_polygons(np.random.default_rng(7), 9, sides, 60.0, 30.0)
+    batched, _ = rasterize_with_tape(params, grid, cfg)
+    stacked = np.vstack([rasterize_primitive(p, grid, cfg).values for p in params])
+    assert np.array_equal(batched, stacked)
+
+
+def test_batched_pullback_rows_are_independent():
+    # each (objective, primitive) row of the batched pullback only sees its
+    # own seed and its own polygon: it equals a one-primitive, one-seed call
+    grid = SampleGrid(12, 6, 60.0, 30.0)
+    cfg = ProjectionConfig.for_domain(60.0, 30.0)
+    rng = np.random.default_rng(11)
+    params = random_polygons(rng, 5, 4, 60.0, 30.0)
+    seeds = rng.standard_normal((2, len(params), grid.n_cells))
+    _, tape = rasterize_with_tape(params, grid, cfg)
+    batched = projection_param_grad(tape, seeds)
+    for i, p in enumerate(params):
+        _, single = rasterize_with_tape([p], grid, cfg)
+        for r in range(2):
+            one = projection_param_grad(single, seeds[r, i][None])
+            for got, want in zip(batched, one):
+                assert np.array_equal(got[r, i], want[0])

@@ -7,8 +7,7 @@ import pytest
 from csgtopo import fea
 from csgtopo.mma import MmaConfig
 from csgtopo.problem import (ConfigError, Model, ProblemSpec, SolverAbort,
-                             builtin_problem, initialize, normalize_params,
-                             optimize)
+                             builtin_problem, initialize, optimize)
 
 
 def quick_spec(**overrides):
@@ -47,6 +46,26 @@ def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
     with pytest.raises(ConfigError):
         spec.validate()
+
+
+# 12x6 mesh: 2 * 13 * 7 = 182 dofs; the mbb supports and load of that mesh
+MBB_12X6 = {"fixed_dofs": [2 * j for j in range(7)] + [2 * (12 * 7) + 1],
+            "loads": [(13, -1.0)]}
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("loads", {"loads": [(0, -1.0)]}),                     # on a fixed dof
+    ("loads", {"loads": [(182, -1.0)]}),                   # past the last dof
+    ("loads", {"loads": [(13, -1.0), (13, 0.5)]}),         # dof loaded twice
+    ("loads", {"loads": []}),
+    ("fixed_dofs", {"fixed_dofs": [-1, 0, 2]}),
+    ("fixed_dofs", {"fixed_dofs": [0, 182]}),
+    ("fixed_dofs", {"fixed_dofs": []}),
+])
+def test_custom_bcs_validation_names_field(field, overrides):
+    spec = ProblemSpec(nx=12, ny=6, benchmark=None, **{**MBB_12X6, **overrides})
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        Model(spec)
 
 
 def test_design_vector_sizes():
@@ -95,7 +114,7 @@ def test_normalize_round_trip():
     z = initialize(spec)
     params, _ = model.denormalize(z)
     geo = spec.n_primitives * (spec.sides + 3)
-    assert np.abs(normalize_params(params, spec) - z[:geo]).max() < 1e-12
+    assert np.abs(model.normalize_params(params) - z[:geo]).max() < 1e-12
 
 
 def test_denormalize_rejects_wrong_length():

@@ -5,8 +5,7 @@ import pytest
 
 from csgtopo import fea
 from csgtopo.problem import Model, ProblemSpec, initialize
-from csgtopo.sensitivity import (central_difference, fd_check, grad_compliance,
-                                 grad_volume)
+from csgtopo.sensitivity import central_difference, fd_check, grad_volume
 from conftest import connected_design
 
 
@@ -56,8 +55,7 @@ def test_saturated_outside_primitive_has_dead_gradients():
     z = np.full(spec.design_size, 0.5)
     z[0] = 0.0            # cx = -500: far outside
     z[1] = 0.95           # the partner primitive carries the load
-    state = model.forward(z)
-    dj = grad_compliance(state)
+    dj, _ = model.gradients(model.forward(z))
     n_p, s = 2, 4
     outside = [0, n_p, 2 * n_p, *range(3 * n_p, 3 * n_p + s)]
     assert max(abs(dj[i]) for i in outside) < 1e-12
@@ -68,8 +66,8 @@ def test_frozen_entries_are_excluded_and_reported_skipped(small_spec):
     model = Model(spec)
     assert spec.design_size == small_spec.design_size - 4
     z = initialize(spec)
-    state = model.forward(z)
-    assert grad_compliance(state).size == spec.design_size
+    dj, dg = model.gradients(model.forward(z))
+    assert dj.size == dg.size == spec.design_size
     geo = spec.n_primitives * (spec.sides + 3)
     entries = fd_check(model, z, indices=range(geo, geo + 4), step=1e-6)
     assert all(e.skipped for e in entries)
@@ -78,9 +76,7 @@ def test_frozen_entries_are_excluded_and_reported_skipped(small_spec):
 def test_volume_gradient_sum_identity(small_spec):
     # sum_e dg/drho_e = 1 / vf*
     model = Model(small_spec)
-    state = model.forward(initialize(small_spec))
-    from csgtopo.sensitivity import volume_field_grad
-    total = float(volume_field_grad(state).sum())
+    total = float(grad_volume(model.mesh, small_spec.vf_star).sum())
     assert total == pytest.approx(1.0 / small_spec.vf_star, rel=1e-12)
 
 
@@ -95,8 +91,9 @@ def test_fully_saturated_design_has_vanishing_gradients():
     z = np.full(spec.design_size, 0.5)
     state = model.forward(z)
     assert state.field_values.min() > 1.0 - 1e-12
-    assert np.abs(grad_volume(state)).max() < 1e-8
-    assert np.abs(grad_compliance(state)).max() < 1e-8
+    dj, dg = model.gradients(state)
+    assert np.abs(dg).max() < 1e-8
+    assert np.abs(dj).max() < 1e-8
 
 
 def test_gradients_require_complete_state(small_spec):
@@ -104,7 +101,7 @@ def test_gradients_require_complete_state(small_spec):
     state = model.forward(initialize(small_spec))
     state.u = None
     with pytest.raises(ValueError):
-        grad_compliance(state)
+        model.gradients(state)
 
 
 def test_adjoint_identity_in_density_space():
@@ -138,7 +135,7 @@ def test_descent_direction_decreases_compliance(small_spec):
     model = Model(spec)
     z = connected_design(small_spec)
     state = model.forward(z)
-    dj = grad_compliance(state)
+    dj, _ = model.gradients(state)
     assert np.linalg.norm(dj) > 1e-6
     eta = 1e-4
     z_new = np.clip(z - eta * dj, 0.0, 1.0)
@@ -191,3 +188,29 @@ def test_softmax_jacobian_consistency(small_spec):
         fd = central_difference(lambda v: model.evaluate(v)[1], z, idx, 1e-6)
         if abs(fd) > 1e-10:
             assert abs(dg[idx] - fd) / abs(fd) < 1e-6
+
+
+def test_fd_check_evaluates_each_entry_at_plus_then_minus_step(small_spec):
+    # one analytic pass, then per entry exactly evaluate(z + h), evaluate(z - h)
+    model = Model(small_spec)
+    z = initialize(small_spec)
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(model, name)
+
+        def forward_gradients(self, v):
+            calls.append(("grad", v.copy()))
+            return model.forward_gradients(v)
+
+        def evaluate(self, v):
+            calls.append(("eval", v.copy()))
+            return model.evaluate(v)
+
+    h = 1e-6
+    fd_check(Recorder(), z, indices=[3, 7], step=h)
+    assert [kind for kind, _ in calls] == ["grad"] + ["eval"] * 4
+    for k, idx in enumerate([3, 7]):
+        plus, minus = calls[1 + 2 * k][1], calls[2 + 2 * k][1]
+        assert plus[idx] == z[idx] + h and minus[idx] == z[idx] - h
