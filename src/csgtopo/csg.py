@@ -238,17 +238,24 @@ def evaluate_tree_values(weights: np.ndarray, leaf_values: np.ndarray) -> np.nda
     """Bottom-up evaluation on raw arrays; returns all node fields.
 
     leaf_values has shape (n_leaves, n_cells) in leaf order; the result has
-    one row per heap node, the root in row 0.
+    one row per heap node, the root in row 0.  Each tree level is combined
+    in one step, deepest first, with the child layout tree_backward uses.
     """
     n_internal = weights.shape[0]
     n_leaves, n_cells = leaf_values.shape
-    if n_leaves != n_internal + 1:
+    if n_leaves != n_internal + 1 or n_leaves & n_internal:
         raise ValueError(
             f"{n_leaves} leaf fields do not fit a tree with {n_internal} operators")
     values = np.empty((n_internal + n_leaves, n_cells))
     values[n_internal:] = leaf_values
-    for k in range(n_internal - 1, -1, -1):
-        values[k] = combine(values[2 * k + 1], values[2 * k + 2], weights[k])
+    first = (n_internal - 1) // 2
+    while first >= 0:
+        level = slice(first, 2 * first + 1)
+        left = slice(2 * first + 1, 4 * first + 2, 2)
+        right = slice(2 * first + 2, 4 * first + 3, 2)
+        # weights as (4, n_level, 1) so each node's b broadcasts over its cells
+        values[level] = combine(values[left], values[right], weights[level].T[..., None])
+        first = (first - 1) // 2
     return values
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 __all__ = [
     "Mesh",
@@ -24,6 +24,8 @@ __all__ = [
     "SingularSystemError",
     "simp_modulus",
     "element_stiffness_template",
+    "FreePattern",
+    "BandedCholesky",
     "assemble",
     "reduce_system",
     "solve",
@@ -34,7 +36,6 @@ __all__ = [
 ]
 
 _DENSITY_TOL = 1e-9
-_RESIDUAL_CONTRACT = 1e-10
 _RESIDUAL_ABORT = 1e-3
 
 
@@ -96,11 +97,50 @@ class Mesh:
         )
 
     @cached_property
-    def _assembly_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        edofs = self.element_dofs
-        rows = np.repeat(edofs, 8, axis=1).ravel()
-        cols = np.tile(edofs, (1, 8)).ravel()
-        return rows, cols
+    def _patterns(self) -> dict[bytes, "FreePattern"]:
+        return {}
+
+    def free_pattern(self, fixed_dofs=()) -> "FreePattern":
+        """CSC pattern of K[free, free] and its scatter map, cached per fixed set."""
+        fixed = np.unique(np.asarray(fixed_dofs, dtype=int))
+        if fixed.size and (fixed[0] < 0 or fixed[-1] >= self.ndof):
+            raise ValueError("fixed dof index out of range")
+        key = fixed.tobytes()
+        if key not in self._patterns:
+            self._patterns[key] = FreePattern.build(self.element_dofs, self.ndof, fixed)
+        return self._patterns[key]
+
+
+@dataclass(eq=False)
+class FreePattern:
+    """Sparsity of the free-dof stiffness and where each element entry lands.
+
+    Entry t of the flattened (n_elements, 8, 8) element stack adds to
+    position scatter[t] of the CSC data; entries on a fixed dof point one
+    past the end, into a slot that is dropped.
+    """
+
+    free: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def build(cls, element_dofs: np.ndarray, ndof: int, fixed: np.ndarray) -> "FreePattern":
+        free = np.setdiff1d(np.arange(ndof), fixed)
+        renumber = np.full(ndof, -1)
+        renumber[free] = np.arange(free.size)
+        rows = renumber[np.repeat(element_dofs, 8, axis=1).ravel()]
+        cols = renumber[np.tile(element_dofs, (1, 8)).ravel()]
+        keep = (rows >= 0) & (cols >= 0)
+        # column-major keys sort the entries into CSC order
+        keys, scatter = np.unique(cols[keep] * free.size + rows[keep],
+                                  return_inverse=True)
+        full_scatter = np.full(rows.size, keys.size)
+        full_scatter[keep] = scatter
+        indptr = np.zeros(free.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // free.size, minlength=free.size), out=indptr[1:])
+        return cls(free, indptr, (keys % free.size).astype(np.int32), full_scatter)
 
 
 @dataclass(frozen=True)
@@ -180,23 +220,31 @@ def element_stiffness_template(nu: float, ax: float = 1.0, ay: float = 1.0) -> n
             b[2, 0::2] = dn_dy
             b[2, 1::2] = dn_dx
             k += (b.T @ d0 @ b) * (ax * ay / 4.0)
-    return k
+    # exactly symmetric, so an assembled K equals its transpose bit for bit
+    return 0.5 * (k + k.T)
 
 
 def assemble(field_values, mesh: Mesh, material: Material,
-             k0: np.ndarray | None = None) -> sp.csc_matrix:
-    """Global stiffness K = sum_e E(rho_e) * scatter(K0), unconstrained."""
+             k0: np.ndarray | None = None, fixed_dofs=()) -> sp.csc_matrix:
+    """Stiffness K = sum_e E(rho_e) * scatter(K0) on the free dofs.
+
+    Rows and columns of fixed_dofs are left out, so the result equals
+    reduce_system's K[free, free]; with no fixed dofs it is the full K.
+    Only the values are computed per call, summed into the cached pattern
+    of mesh.free_pattern by one bincount.
+    """
     values = np.asarray(field_values, dtype=float).ravel()
     if values.size != mesh.n_elements:
         raise ValueError(
             f"field has {values.size} values for {mesh.n_elements} elements")
     if k0 is None:
         k0 = element_stiffness_template(material.nu, mesh.ax, mesh.ay)
+    pattern = mesh.free_pattern(fixed_dofs)
     e_mod = simp_modulus(values, material)
-    data = (e_mod[:, None, None] * k0).ravel()
-    rows, cols = mesh._assembly_indices
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(mesh.ndof, mesh.ndof)).tocsc()
+    nnz, n = pattern.indices.size, pattern.free.size
+    data = np.bincount(pattern.scatter, weights=(e_mod[:, None, None] * k0).ravel(),
+                       minlength=nnz + 1)[:nnz]
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def load_vector(bcs: BoundaryConditions, ndof: int) -> np.ndarray:
@@ -210,7 +258,7 @@ def load_vector(bcs: BoundaryConditions, ndof: int) -> np.ndarray:
 
 def reduce_system(K: sp.spmatrix, f: np.ndarray,
                   fixed_dofs: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Eliminate fixed dofs by row/column removal."""
+    """Eliminate fixed dofs by row/column removal (reference for assemble)."""
     ndof = f.size
     fixed = np.asarray(fixed_dofs, dtype=int)
     if fixed.size and (fixed.min() < 0 or fixed.max() >= ndof):
@@ -228,15 +276,65 @@ def _singular_diagnostic(K: sp.csc_matrix) -> str:
             f"likely unconstrained components near dofs: {worst}")
 
 
-def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
-    """Direct sparse solve of Ku = f with compliance J = f.u.
+class BandedCholesky:
+    """Cholesky factor of a symmetric positive definite K in LAPACK band storage.
 
-    Iterative refinement drives the relative residual |Ku - f| / |f| to the
-    contract tolerance 1e-10 whenever the conditioning admits it; extreme
-    SIMP contrast bounds the attainable residual near eps*|K||u|/|f|, which
-    stays orders of magnitude below the abort threshold.  A residual that
-    refinement cannot pull under that threshold marks a singular system
-    (missing constraints) and raises SingularSystemError.
+    The lower triangle of K is copied into (kd + 1, n) lower-band storage,
+    kd being its half-bandwidth: 2 (ny + 1) + 3 for a mesh stiffness under
+    the column-wise numbering.  Raises LinAlgError when K is not positive
+    definite.
+    """
+
+    def __init__(self, K: sp.csc_matrix):
+        n = K.shape[0]
+        cols = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
+        offsets = K.indices - cols
+        lower = offsets >= 0
+        band = np.zeros((int(offsets.max(initial=0)) + 1, n))
+        band.ravel()[(offsets * n + cols)[lower]] = K.data[lower]
+        self.factor = cholesky_banded(band, lower=True, check_finite=False)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the factor, band padding included."""
+        return self.factor.size
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.factor, True), b, check_finite=False)
+
+
+def splu(K: sp.csc_matrix) -> BandedCholesky:
+    """Factorize K by banded Cholesky.
+
+    Not an LU: the name is kept because the fea.factorize hook of the
+    benchmark (bench/tracing.py) patches fea.splu, and solve calls the
+    factorization through this name.
+    """
+    return BandedCholesky(K)
+
+
+def _residual_extended(K: sp.csc_matrix, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """f - K u summed in extended precision, rounded once to float64.
+
+    K is symmetric, so its CSC arrays read as CSR: row i of K u sums column
+    i's entries times u at their row indices.
+    """
+    products = u.astype(np.longdouble)[K.indices]
+    products *= K.data
+    return (f - np.add.reduceat(products, K.indptr[:-1])).astype(float)
+
+
+def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
+    """Direct solve of Ku = f for symmetric positive definite K, J = f.u.
+
+    A banded Cholesky solve is followed by one correction step u += K^-1 r
+    whose residual r = f - K u is summed in extended precision; one step
+    takes u to the accuracy the float64 factor allows, where a residual
+    computed in float64 stalls near eps*|K||u|.  The reported residual
+    |Ku - f| / |f| is computed in float64.  A factorization that finds K
+    not positive definite, a non-finite solution, or a residual above the
+    abort threshold marks a singular system (missing constraints) and
+    raises SingularSystemError.
     """
     f = np.asarray(f, dtype=float).ravel()
     K = K.tocsc()
@@ -246,21 +344,15 @@ def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
     if fnorm == 0.0:
         return SolveResult(u=np.zeros_like(f), J=0.0, residual=0.0)
     try:
-        lu = splu(K)
-        u = lu.solve(f)
-    except (RuntimeError, ValueError) as exc:
+        factor = splu(K)
+    except LinAlgError as exc:
         raise SingularSystemError(_singular_diagnostic(K)) from exc
+    u = factor.solve(f)
+    if np.isfinite(u).all():
+        u = u + factor.solve(_residual_extended(K, u, f))
     if not np.isfinite(u).all():
         raise SingularSystemError(_singular_diagnostic(K))
     residual = float(np.linalg.norm(K @ u - f)) / fnorm
-    for _ in range(5):
-        if residual < _RESIDUAL_CONTRACT:
-            break
-        u = u + lu.solve(f - K @ u)
-        improved = float(np.linalg.norm(K @ u - f)) / fnorm
-        if not math.isfinite(improved) or improved >= residual:
-            break
-        residual = improved
     if residual > _RESIDUAL_ABORT:
         raise SingularSystemError(
             f"solve residual {residual:.3e} exceeds {_RESIDUAL_ABORT:.0e}; "
@@ -271,11 +363,10 @@ def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
 def analyze(field_values, mesh: Mesh, material: Material,
             bcs: BoundaryConditions,
             k0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Assemble, reduce, solve; returns full-length displacements and J."""
-    K = assemble(field_values, mesh, material, k0)
-    f = load_vector(bcs, mesh.ndof)
-    K_red, f_red, free = reduce_system(K, f, bcs.fixed_dofs)
-    result = solve(K_red, f_red)
+    """Assemble on the free dofs, solve; returns full-length displacements and J."""
+    K = assemble(field_values, mesh, material, k0, bcs.fixed_dofs)
+    free = mesh.free_pattern(bcs.fixed_dofs).free
+    result = solve(K, load_vector(bcs, mesh.ndof)[free])
     u = np.zeros(mesh.ndof)
     u[free] = result.u
     return u, result.J

@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    """The FEA solve failed mid-run; carries the last good state."""
+    """The FEA solve or its gradients failed mid-run; carries the last good state."""
 
     def __init__(self, message: str, history: "RunHistory", z: np.ndarray,
                  iteration: int):
@@ -465,6 +465,9 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
             t_grad1 = time.perf_counter()
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, it) from exc
+        if not (math.isfinite(fwd.J) and math.isfinite(fwd.g_v)
+                and np.isfinite(dj).all() and np.isfinite(dg).all()):
+            raise SolverAbort("non-finite J, g_v or gradient", history, z, it)
         z_new, state = mma_update(z, fwd.J, dj, fwd.g_v, dg, state, cfg)
         step = float(np.abs(z_new - z).max())
         kkt = kkt_residual(z_new, dj, fwd.g_v, dg, state.lam)

@@ -87,6 +87,22 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_non_finite_gradient_exits_2_with_history(tmp_path, monkeypatch):
+    calls = []
+    original = Model.gradients
+
+    def gradients(self, state):
+        calls.append(None)
+        dj, dg = original(self, state)
+        return (dj, np.full_like(dg, np.nan)) if len(calls) >= 3 else (dj, dg)
+
+    monkeypatch.setattr(Model, "gradients", gradients)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    _, rows = read_history(out / "history.csv")
+    assert [r[0] for r in rows] == ["1", "2"]
+
+
 def test_history_schema_and_design_precision(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

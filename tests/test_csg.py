@@ -174,6 +174,24 @@ def test_evaluate_tree_zero_leaves(seed, depth):
     assert np.abs(values[0]).max() == 0.0
 
 
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_evaluate_tree_levels_equal_per_node_loop(depth):
+    # reference: one combine per internal node, deepest node first
+    rng = np.random.default_rng(depth)
+    n_b, n_cells = 2 ** depth - 1, 37
+    weights = np.vstack([simplex(rng) for _ in range(n_b)])
+    leaves = rng.random((2 ** depth, n_cells))
+    expected = np.vstack([np.empty((n_b, n_cells)), leaves])
+    for k in range(n_b - 1, -1, -1):
+        expected[k] = combine(expected[2 * k + 1], expected[2 * k + 2], weights[k])
+    assert np.array_equal(evaluate_tree_values(weights, leaves), expected)
+
+
+def test_evaluate_tree_values_rejects_imperfect_tree():
+    with pytest.raises(ValueError):
+        evaluate_tree_values(np.full((2, 4), 0.25), np.zeros((3, 5)))
+
+
 def test_evaluate_tree_grid_mismatch():
     tree = CsgTree(1, one_hot(UNION)[None, :])
     a = DensityField(np.zeros(8), SampleGrid(4, 2, 4.0, 2.0))

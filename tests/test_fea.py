@@ -4,7 +4,7 @@ import pytest
 from csgtopo.fea import (BoundaryConditions, Material, Mesh, SingularSystemError,
                          analyze, assemble, element_energies,
                          element_stiffness_template, load_vector, reduce_system,
-                         simp_modulus, solve, volume_constraint)
+                         simp_modulus, solve, splu, volume_constraint)
 from csgtopo.problem import builtin_problem
 
 
@@ -201,6 +201,95 @@ def test_residual_contract_mesh_sizes():
         f = load_vector(bcs, mesh.ndof)
         K_red, f_red, _ = reduce_system(K, f, bcs.fixed_dofs)
         assert solve(K_red, f_red).residual < 1e-10
+
+
+def custom_bcs(nx: int, ny: int) -> BoundaryConditions:
+    """Roller supports along the bottom edge, pinned in x at the lower-left
+    node, two loads on the top edge."""
+    bottom = np.arange(nx + 1) * (ny + 1)
+    fixed = np.concatenate([2 * bottom + 1, [0]])
+    top = np.arange(nx + 1) * (ny + 1) + ny
+    return BoundaryConditions(fixed, {2 * top[nx // 3] + 1: -1.0,
+                                      2 * top[-1]: 0.5})
+
+
+# (mesh, bcs) pairs: both benchmarks, non-square elements, a custom BC set
+FREE_DOF_CASES = {
+    "mbb": (Mesh(24, 12, 24.0, 12.0), builtin_problem("mbb", 24, 12)),
+    "mid_cantilever": (Mesh(20, 10, 20.0, 10.0), builtin_problem("mid_cantilever", 20, 10)),
+    "non_square": (Mesh(16, 8, 24.0, 6.0), builtin_problem("mbb", 16, 8)),
+    "custom": (Mesh(14, 6, 14.0, 6.0), custom_bcs(14, 6)),
+}
+
+
+def free_dof_system(case: str):
+    """Random SIMP densities on a case: (mesh, bcs, rho, K_free, K_reduced, f_red)."""
+    mesh, bcs = FREE_DOF_CASES[case]
+    m = Material()
+    rho = np.random.default_rng(3).random(mesh.n_elements)
+    k0 = element_stiffness_template(m.nu, mesh.ax, mesh.ay)
+    K_free = assemble(rho, mesh, m, k0, fixed_dofs=bcs.fixed_dofs)
+    K_red, f_red, free = reduce_system(assemble(rho, mesh, m, k0),
+                                       load_vector(bcs, mesh.ndof), bcs.fixed_dofs)
+    assert np.array_equal(free, mesh.free_pattern(bcs.fixed_dofs).free)
+    return mesh, bcs, rho, K_free, K_red, f_red
+
+
+@pytest.mark.parametrize("case", sorted(FREE_DOF_CASES))
+def test_free_dof_assembly_equals_reduced_full_assembly(case):
+    *_, K_free, K_red, _ = free_dof_system(case)
+    assert K_free.shape == K_red.shape
+    diff = np.abs(K_free.toarray() - K_red.toarray()).max()
+    assert diff <= 1e-14 * np.abs(K_red.data).max()
+
+
+@pytest.mark.parametrize("case", sorted(FREE_DOF_CASES))
+def test_banded_solve_matches_dense_oracle(case):
+    mesh, bcs, rho, K_free, K_red, f_red = free_dof_system(case)
+    res = solve(K_free, f_red)
+    u_dense = np.linalg.solve(K_red.toarray(), f_red)
+    j_dense = float(f_red @ u_dense)
+    assert res.J == pytest.approx(j_dense, rel=1e-10)
+    assert np.abs(res.u - u_dense).max() <= 1e-8 * np.abs(u_dense).max()
+    u_full, j_full = analyze(rho, mesh, Material(), bcs)
+    assert j_full == res.J
+    assert np.array_equal(u_full[mesh.free_pattern(bcs.fixed_dofs).free], res.u)
+
+
+def test_free_pattern_cached_per_fixed_set():
+    mesh = Mesh(6, 3, 6.0, 3.0)
+    assert mesh.free_pattern([1, 0]) is mesh.free_pattern(np.array([0, 1, 1]))
+    assert mesh.free_pattern([0]) is not mesh.free_pattern([0, 1])
+    assert mesh.free_pattern().free.size == mesh.ndof
+    with pytest.raises(ValueError):
+        mesh.free_pattern([mesh.ndof])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_extended_precision_correction_converges(seed):
+    # a second correction step on a random SIMP density field leaves J at
+    # the float64 floor of the design: on seed 0 it moves J by 3e-14
+    # relative, as much as every further step does, on the others by <2e-15
+    mesh = Mesh(60, 30, 60.0, 30.0)
+    bcs = builtin_problem("mbb", 60, 30)
+    rho = np.random.default_rng(seed).random(mesh.n_elements)
+    K = assemble(rho, mesh, Material(), fixed_dofs=bcs.fixed_dofs)
+    f = load_vector(bcs, mesh.ndof)[mesh.free_pattern(bcs.fixed_dofs).free]
+    res = solve(K, f)
+    factor = splu(K)
+    u2 = res.u + factor.solve(f - (K @ res.u.astype(np.longdouble)).astype(float))
+    assert abs(float(f @ u2) - res.J) < 1e-13 * res.J
+
+
+def test_banded_factor_size_and_bandwidth():
+    # half-bandwidth 2 (ny + 1) + 3 under the column-wise numbering
+    mesh = Mesh(60, 30, 60.0, 30.0)
+    bcs = builtin_problem("mbb", 60, 30)
+    K = assemble(np.ones(mesh.n_elements), mesh, Material(), fixed_dofs=bcs.fixed_dofs)
+    factor = splu(K)
+    assert factor.nnz == (2 * 31 + 3 + 1) * K.shape[0]
+    b = np.arange(K.shape[0], dtype=float)
+    assert np.abs(K @ factor.solve(b) - b).max() < 1e-8 * np.abs(b).max()
 
 
 # -- compliance properties ----------------------------------------------------------

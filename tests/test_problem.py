@@ -253,3 +253,22 @@ def test_optimize_aborts_on_singular_system():
         optimize(spec)
     assert info.value.iteration == 1
     assert len(info.value.history) == 0
+
+
+def test_optimize_aborts_on_non_finite_gradient(monkeypatch):
+    calls = []
+    original = Model.gradients
+
+    def gradients(self, state):
+        calls.append(None)
+        dj, dg = original(self, state)
+        return (np.full_like(dj, np.nan), dg) if len(calls) >= 3 else (dj, dg)
+
+    monkeypatch.setattr(Model, "gradients", gradients)
+    with pytest.raises(SolverAbort) as info:
+        optimize(quick_spec())
+    assert info.value.iteration == 3
+    assert [r.iteration for r in info.value.history] == [1, 2]
+    # z is the design iteration 3 evaluated, made by iteration 2's finite update
+    assert np.all(np.isfinite(info.value.z))
+    assert not np.array_equal(info.value.z, info.value.history.records[-1].z)
