@@ -68,12 +68,14 @@ def config_from_dict(doc: dict) -> ProblemSpec:
             raise ConfigError(f"mma: unknown keys: {', '.join(sorted(bad))}")
         try:
             kwargs["mma"] = MmaConfig(**sub)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"mma: {exc}") from exc
     else:
         kwargs["mma"] = MmaConfig()
 
     if kwargs.get("frozen_operators"):
+        if not isinstance(kwargs["frozen_operators"], dict):
+            raise ConfigError("frozen_operators: expected an object mapping node to operator")
         try:
             kwargs["frozen_operators"] = {
                 int(k): str(v) for k, v in kwargs["frozen_operators"].items()}
@@ -87,7 +89,10 @@ def config_from_dict(doc: dict) -> ProblemSpec:
             pair = kwargs[key]
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ConfigError(f"{key}: expected a [lo, hi] pair")
-            kwargs[key] = (float(pair[0]), float(pair[1]))
+            try:
+                kwargs[key] = (float(pair[0]), float(pair[1]))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: expected a pair of numbers: {exc}") from exc
 
     if kwargs.get("loads") is not None:
         try:
@@ -95,7 +100,10 @@ def config_from_dict(doc: dict) -> ProblemSpec:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"loads: expected [dof, value] pairs: {exc}") from exc
     if kwargs.get("fixed_dofs") is not None:
-        kwargs["fixed_dofs"] = [int(d) for d in kwargs["fixed_dofs"]]
+        try:
+            kwargs["fixed_dofs"] = [int(d) for d in kwargs["fixed_dofs"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fixed_dofs: expected a list of dofs: {exc}") from exc
 
     try:
         spec = ProblemSpec(**kwargs)
@@ -350,22 +358,19 @@ def cmd_check_grad(args) -> int:
 
 
 def _apply_sweep_value(doc: dict, param: str, token: str) -> dict:
-    doc = dict(doc)
-    if param == "vf_star":
-        doc["vf_star"] = float(token)
-    elif param == "tree_depth":
-        doc["tree_depth"] = int(token)
-    elif param == "seed":
-        doc["seed"] = int(token)
-    elif param == "mesh":
-        try:
-            nx, ny = token.lower().split("x")
-            doc["nx"], doc["ny"] = int(nx), int(ny)
-        except ValueError as exc:
-            raise ConfigError(f"mesh: expected NXxNY, got {token!r}") from exc
-    else:
+    if param not in SWEEP_PARAMS:
         raise ConfigError(
             f"param: unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
+    doc = dict(doc)
+    try:
+        if param == "mesh":
+            nx, ny = token.lower().split("x")
+            doc["nx"], doc["ny"] = int(nx), int(ny)
+        else:
+            doc[param] = float(token) if param == "vf_star" else int(token)
+    except ValueError as exc:
+        form = {"mesh": "NXxNY", "vf_star": "a number"}.get(param, "an integer")
+        raise ConfigError(f"{param}: expected {form}, got {token!r}") from exc
     return doc
 
 
@@ -394,31 +399,39 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    summaries = {}
-    try:
-        if args.parallel and args.parallel > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                futures = {tok: pool.submit(_sweep_one, doc, str(path))
-                           for tok, doc, path in jobs}
-                for tok, fut in futures.items():
-                    summaries[tok] = fut.result()
-        else:
-            for tok, doc, path in jobs:
-                summaries[tok] = _sweep_one(doc, str(path))
-    except SolverAbort as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    def outcome(result):
+        """The job's summary, or its SolverAbort: one failure keeps the rest."""
+        try:
+            return result()
+        except SolverAbort as exc:
+            return exc
+
+    if args.parallel and args.parallel > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            futures = {tok: pool.submit(_sweep_one, doc, str(path))
+                       for tok, doc, path in jobs}
+            summaries = {tok: outcome(fut.result) for tok, fut in futures.items()}
+    else:
+        summaries = {tok: outcome(lambda: _sweep_one(doc, str(path)))
+                     for tok, doc, path in jobs}
 
     lines = ["value,J_relaxed,J_snapped,g_v"]
+    failed = 0
     for tok, _, _ in jobs:
         s = summaries[tok]
-        lines.append(",".join([tok, _fmt(s["J_relaxed"]), _fmt(s["J_snapped"]),
-                               _fmt(s["g_v"])]))
+        if isinstance(s, SolverAbort):
+            print(f"error: {args.param}={tok}: solver failed at iteration "
+                  f"{s.iteration}: {s}", file=sys.stderr)
+            lines.append(f"{tok},,,")
+            failed += 1
+        else:
+            lines.append(",".join([tok, _fmt(s["J_relaxed"]), _fmt(s["J_snapped"]),
+                                   _fmt(s["g_v"])]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "pareto.csv", "\n".join(lines) + "\n")
     print((out / "pareto.csv").read_text(), end="")
-    return EXIT_OK
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

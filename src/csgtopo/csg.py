@@ -98,15 +98,16 @@ class BooleanWeights:
 def softmax_encode(zb, scale: float = 4.0) -> np.ndarray:
     """Map 4 normalized values to simplex weights through a scaled softmax.
 
-    The output is renormalized so it sums to one exactly.
+    zb is (..., 4), one node per row.  The output is renormalized so it sums
+    to one exactly.
     """
     if not scale > 0:
         raise ValueError(f"softmax scale must be positive, got {scale}")
-    zb = np.asarray(zb, dtype=float).ravel()
-    if zb.size != 4:
-        raise ValueError(f"expected 4 values, got {zb.size}")
-    e = np.exp(scale * (zb - zb.max()))
-    return e / e.sum()
+    zb = np.asarray(zb, dtype=float)
+    if zb.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 values per node, got shape {zb.shape}")
+    e = np.exp(scale * (zb - zb.max(axis=-1, keepdims=True)))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _weights_array(b) -> np.ndarray:

@@ -9,12 +9,16 @@ chain
 so the resulting field is differentiable in every polygon parameter.
 Signed distances are negative inside a shape.
 
-rasterize_with_tape runs the chain for all n_p primitives at once on an
-(n_p, n_cells, S) array and keeps one batched ProjectionTape;
+rasterize_with_tape runs the chain for all n_p primitives at once on a
+sides-first (n_p, S, n_cells) array and keeps one batched ProjectionTape;
 projection_param_grad pulls per-cell sensitivities of every primitive (and
 of several objectives stacked on leading axes) back through that tape.
-polygon_sdf, project_density, threshold and threshold_derivative are the
-single-stage forms of the same formulas.
+Sides-first, every step runs along contiguous rows of n_cells values rather
+than reducing a short trailing axis per cell, and the sides are summed left
+to right, as numpy sums a trailing axis of up to 7 entries, so the fields
+equal those of a cells-first layout.  polygon_sdf, project_density,
+threshold and threshold_derivative are the single-stage forms of the same
+formulas.
 """
 
 from __future__ import annotations
@@ -186,20 +190,20 @@ def halfspace_sdfs(p: PolygonParams, x, y) -> np.ndarray:
 
 
 def _smooth_max(phi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(1/s)-scaled LogSumExp over the trailing axis and its softmax weights.
+    """(1/s)-scaled LogSumExp over axis -2 (the sides) and its softmax weights.
 
     The max is subtracted before exponentiation so the exponents never
     overflow; the result always dominates the exact maximum.  phi is
     overwritten with the weights.
     """
-    m = phi[..., 0].copy()
-    for j in range(1, phi.shape[-1]):  # numpy reduces a short trailing axis slowly
-        np.maximum(m, phi[..., j], out=m)
-    phi -= m[..., None]
+    m = phi.max(axis=-2)
+    phi -= m[..., None, :]
     phi *= s
     np.exp(phi, out=phi)
-    z = phi.sum(axis=-1)
-    phi /= z[..., None]
+    z = phi[..., 0, :].copy()
+    for j in range(1, phi.shape[-2]):  # np.sum adds 8 or more sides pairwise
+        z += phi[..., j, :]
+    phi /= z[..., None, :]
     return m + np.log(z) / s, phi
 
 
@@ -212,7 +216,8 @@ def _threshold_chain(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray
 
 def polygon_sdf(p: PolygonParams, x, y, cfg: ProjectionConfig):
     """Smooth polygon signed distance: (l0/t)-scaled LogSumExp of the half-spaces."""
-    return _smooth_max(halfspace_sdfs(p, x, y), cfg.t / cfg.l0)[0]
+    # a unit trailing axis puts the sides on axis -2, where _smooth_max reduces
+    return _smooth_max(halfspace_sdfs(p, x, y)[..., None], cfg.t / cfg.l0)[0][..., 0]
 
 
 def project_density(phi, cfg: ProjectionConfig):
@@ -239,7 +244,8 @@ def threshold_derivative(rho_tilde, cfg: ProjectionConfig):
 class ProjectionTape:
     """Intermediates of the projection of n_p primitives, kept for the pullback.
 
-    lse_weights holds the per-cell softmax weights of the half-spaces;
+    lse_weights holds the per-cell softmax weights of the half-spaces,
+    sides-first so the pullback multiplies them without a transpose;
     d_sigmoid and d_threshold are the local derivatives of the last two
     stages of the chain.
     """
@@ -248,7 +254,7 @@ class ProjectionTape:
     sin_a: np.ndarray        # (n_p, S)
     rel_x: np.ndarray        # (n_p, n_cells) x - cx
     rel_y: np.ndarray        # (n_p, n_cells)
-    lse_weights: np.ndarray  # (n_p, n_cells, S)
+    lse_weights: np.ndarray  # (n_p, S, n_cells)
     d_sigmoid: np.ndarray    # (n_p, n_cells) d rho_tilde / d phi
     d_threshold: np.ndarray  # (n_p, n_cells) d rho / d rho_tilde
 
@@ -262,17 +268,19 @@ def rasterize_with_tape(params, grid: SampleGrid,
     """
     pts = grid.points
     d = np.vstack([p.d for p in params])
-    ang = np.array([p.theta for p in params])[:, None] + base_angles(d.shape[1])
+    n_p, sides = d.shape
+    ang = np.array([p.theta for p in params])[:, None] + base_angles(sides)
     cos_a = np.cos(ang)
     sin_a = np.sin(ang)
     rel_x = pts[:, 0] - np.array([p.cx for p in params])[:, None]
     rel_y = pts[:, 1] - np.array([p.cy for p in params])[:, None]
-    # built sides-first, so numpy broadcasts along long contiguous rows, then
-    # stored cells-first: the pullback multiplies by (n_cells, S) blocks
-    phi_hat = rel_x[:, None, :] * cos_a[..., None]
-    phi_hat += rel_y[:, None, :] * sin_a[..., None]
-    phi_hat -= d[..., None]
-    phi_hat = np.ascontiguousarray(phi_hat.transpose(0, 2, 1))
+    # one side at a time: the only temporary is one (n_p, n_cells) row
+    phi_hat = np.empty((n_p, sides, grid.n_cells))
+    for j in range(sides):
+        side = phi_hat[:, j]
+        np.multiply(rel_x, cos_a[:, j, None], out=side)
+        side += rel_y * sin_a[:, j, None]
+        side -= d[:, j, None]
 
     phi, weights = _smooth_max(phi_hat, cfg.t / cfg.l0)
     rho_tilde = project_density(phi, cfg)
@@ -297,12 +305,11 @@ def projection_param_grad(tape: ProjectionTape, seed: np.ndarray):
     the first three shaped seed.shape[:-1] and d_d with a trailing S axis.
     """
     chain = seed * tape.d_threshold * tape.d_sigmoid
-    weights_t = tape.lse_weights.swapaxes(-1, -2)
 
     def pull(v):
-        # one gemv W_i^T v_i per primitive and objective, as on a single
+        # one gemv W_i v_i per primitive and objective, as on a single
         # primitive; a stacked gemm would sum in another order
-        return np.matmul(weights_t, v[..., None])[..., 0]
+        return np.matmul(tape.lse_weights, v[..., None])[..., 0]
 
     a = pull(chain)
     sx = pull(chain * tape.rel_x)

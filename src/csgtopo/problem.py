@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -149,6 +150,20 @@ class ProblemSpec:
         def fail(name, detail):
             raise ConfigError(f"{name}: {detail}")
 
+        # a config document can carry any JSON value; check types before
+        # any comparison below can raise a bare TypeError
+        for name in ("nx", "ny", "tree_depth", "sides", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                fail(name, f"must be an integer, got {value!r}")
+        for name in ("lx", "ly", "e0", "emin", "penalty", "nu", "vf_star", "gamma",
+                     "beta", "lse_scale", "softmax_scale"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                fail(name, f"must be a number, got {value!r}")
+        if self.seed < 0:
+            fail("seed", f"must be >= 0, got {self.seed}")
         if self.nx < 1 or self.ny < 1:
             fail("nx/ny", f"mesh must have positive element counts, got {self.nx}x{self.ny}")
         if self.domain_lx <= 0 or self.domain_ly <= 0:
@@ -311,14 +326,10 @@ class Model:
         params = [geometry.PolygonParams(cx[i], cy[i], th[i], d[i]) for i in range(n_p)]
 
         weights = np.empty((spec.n_operators, 4))
-        offset = n_p * (s + 3)
-        for node in range(spec.n_operators):
-            if node in self.frozen:
-                weights[node] = csg.one_hot(self.frozen[node])
-            else:
-                weights[node] = csg.softmax_encode(z[offset:offset + 4],
-                                                   spec.softmax_scale)
-                offset += 4
+        weights[self.free_nodes] = csg.softmax_encode(z[n_p * (s + 3):].reshape(-1, 4),
+                                                      spec.softmax_scale)
+        for node, op in self.frozen.items():
+            weights[node] = csg.one_hot(op)
         return params, weights
 
     def normalize_params(self, params) -> np.ndarray:

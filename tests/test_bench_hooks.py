@@ -34,3 +34,22 @@ def test_every_layer_hook_resolves(tracing):
 
 def test_resolve_reports_a_renamed_target(tracing):
     assert tracing.resolve("csgtopo.fea:no_such_function") == []
+
+
+def test_every_layer_is_entered(tracing, tmp_path):
+    # a hook that resolves but is never called reads 0 calls in the benchmark
+    from csgtopo import cli
+    from csgtopo.mma import MmaConfig
+    from csgtopo.problem import ProblemSpec
+
+    spec = ProblemSpec(nx=12, ny=6, tree_depth=2, sides=4, mma=MmaConfig(max_iter=2))
+    # one span per target: two hooks share the sensitivity.grad span
+    hooks = [tracing.Hook(h.target, h.target, h.post) for h in tracing.LAYER_HOOKS]
+    tracer = tracing.Tracer("test")
+    with tracer.installed(hooks) as missing:
+        cli.execute_run(spec, tmp_path)
+    assert missing == []
+    entered = {span[0] for span in tracer.spans}
+    # fea.reduce_system is only a test oracle now: the solve never calls it
+    oracle = "csgtopo.fea:reduce_system"
+    assert [h.target for h in hooks if h.target not in entered | {oracle}] == []

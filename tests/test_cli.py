@@ -2,9 +2,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from csgtopo import cli
 from csgtopo.cli import main
-from csgtopo.problem import Model
+from csgtopo.problem import Model, SolverAbort
 
 QUICK = {
     "nx": 12, "ny": 6, "tree_depth": 2, "sides": 4,
@@ -79,6 +81,28 @@ def test_effective_config_round_trips(tmp_path):
     for name in ("history.csv", "design.csv", "tree.json", "summary.json",
                  "config.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("overrides,argv,field", [
+    ({"seed": -1}, [], "seed"),
+    ({"seed": 1.5}, [], "seed"),
+    ({"seed": "x"}, [], "seed"),
+    ({}, ["--seed", "-3"], "seed"),
+    ({"benchmark": None, "fixed_dofs": ["a"], "loads": [[13, -1.0]]}, [], "fixed_dofs"),
+    ({"benchmark": None, "fixed_dofs": 5, "loads": [[13, -1.0]]}, [], "fixed_dofs"),
+    ({"cx_bounds": ["a", 1]}, [], "cx_bounds"),
+    ({"nx": "12"}, [], "nx"),
+    ({"e0": "x"}, [], "e0"),
+    ({"mma": {"max_iter": "x"}}, [], "mma"),
+    ({"frozen_operators": [1]}, [], "frozen_operators"),
+])
+def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
+    # each of these used to end in a raw ValueError/TypeError traceback
+    cfg = write_config(tmp_path, {**QUICK, **overrides})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):
@@ -249,13 +273,48 @@ def test_sweep_rejects_bad_mesh_token(tmp_path, capsys):
                  "--values", "60by30", "--out", str(tmp_path / "s")]) == 1
 
 
-def test_sweep_parallel_solver_failure_exit_code(tmp_path):
+def test_sweep_parallel_solver_failure_exit_code(tmp_path, capsys):
     # the abort must survive the process-pool round trip intact
     doc = {**QUICK, "benchmark": None, "fixed_dofs": [0], "loads": [[13, -1.0]]}
     cfg = write_config(tmp_path, doc)
     assert main(["sweep", "--config", str(cfg), "--param", "seed",
                  "--values", "1,2", "--out", str(tmp_path / "s"),
                  "--parallel", "2"]) == 2
+    pareto = (tmp_path / "s" / "pareto.csv").read_text().splitlines()
+    assert pareto == ["value,J_relaxed,J_snapped,g_v", "1,,,", "2,,,"]
+    err = capsys.readouterr().err
+    assert "seed=1: solver failed" in err and "seed=2: solver failed" in err
+
+
+def test_sweep_keeps_finished_results_when_one_job_aborts(tmp_path, monkeypatch, capsys):
+    original = cli._sweep_one
+
+    def sweep_one(doc, outdir):
+        if doc["vf_star"] == 0.5:
+            raise SolverAbort("injected failure", None, np.zeros(1), 4)
+        return original(doc, outdir)
+
+    monkeypatch.setattr(cli, "_sweep_one", sweep_one)
+    cfg = write_config(tmp_path, {**QUICK, "mma": {"max_iter": 3}})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", "0.4,0.5,0.6", "--out", str(out)]) == 2
+    header, *rows = (out / "pareto.csv").read_text().splitlines()
+    assert header == "value,J_relaxed,J_snapped,g_v"
+    assert [r.split(",")[0] for r in rows] == ["0.4", "0.5", "0.6"]
+    assert rows[1] == "0.5,,,"
+    for row in (rows[0], rows[2]):
+        assert np.isfinite([float(v) for v in row.split(",")[1:]]).all()
+    err = capsys.readouterr().err
+    assert "vf_star=0.5: solver failed at iteration 4: injected failure" in err
+    assert "vf_star=0.4" not in err and "vf_star=0.6" not in err
+
+
+def test_sweep_rejects_non_numeric_value(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", "0.4,abc", "--out", str(tmp_path / "s")]) == 1
+    assert "vf_star" in capsys.readouterr().err
 
 
 def test_tree_document_handles_empty_design(tmp_path):

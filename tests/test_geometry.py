@@ -302,6 +302,28 @@ def test_batched_rasterize_equals_per_primitive(sides):
     assert np.array_equal(batched, stacked)
 
 
+@pytest.mark.parametrize("sides", [3, 4, 6])
+def test_sides_first_tape_matches_cells_first_reference(sides):
+    # the chain as it ran on an (n_cells, S) stack, summing the trailing axis
+    grid = SampleGrid(20, 10, 60.0, 30.0)
+    cfg = ProjectionConfig.for_domain(60.0, 30.0)
+    params = random_polygons(np.random.default_rng(13), 7, sides, 60.0, 30.0)
+    rho, tape = rasterize_with_tape(params, grid, cfg)
+    assert tape.lse_weights.shape == (7, sides, grid.n_cells)
+    s = cfg.t / cfg.l0
+    for i, p in enumerate(params):
+        phi_hat = halfspace_sdfs(p, grid.points[:, 0], grid.points[:, 1])
+        m = phi_hat.max(axis=-1)
+        e = np.exp((phi_hat - m[:, None]) * s)
+        z = np.sum(e, axis=-1)
+        rho_tilde = project_density(m + np.log(z) / s, cfg)
+        assert np.array_equal(tape.lse_weights[i].T, e / z[:, None])
+        assert np.array_equal(tape.d_sigmoid[i],
+                              -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde))
+        assert np.array_equal(tape.d_threshold[i], threshold_derivative(rho_tilde, cfg))
+        assert np.array_equal(rho[i], np.clip(threshold(rho_tilde, cfg), 0.0, 1.0))
+
+
 def test_batched_pullback_rows_are_independent():
     # each (objective, primitive) row of the batched pullback only sees its
     # own seed and its own polygon: it equals a one-primitive, one-seed call

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csgtopo import fea
+from csgtopo.csg import one_hot, softmax_encode
 from csgtopo.mma import MmaConfig
 from csgtopo.problem import (ConfigError, Model, ProblemSpec, SolverAbort,
                              builtin_problem, initialize, optimize)
@@ -106,6 +107,23 @@ def test_denormalize_injects_frozen_operators():
     model = Model(spec)
     _, weights = model.denormalize(initialize(spec))
     assert np.array_equal(weights[3], [0, 0, 1, 0])
+
+
+def test_denormalize_weights_match_per_node_encoding():
+    # the one (n_free, 4) softmax gives each node what its own call gives
+    spec = ProblemSpec(tree_depth=4, frozen_operators={0: "union", 5: "difference"})
+    model = Model(spec)
+    z = initialize(spec)
+    _, weights = model.denormalize(z)
+    offset = spec.n_primitives * (spec.sides + 3)
+    for node in range(spec.n_operators):
+        if node in model.frozen:
+            want = one_hot(model.frozen[node])
+        else:
+            want = softmax_encode(z[offset:offset + 4], spec.softmax_scale)
+            offset += 4
+        assert np.array_equal(weights[node], want), node
+    assert offset == z.size
 
 
 def test_normalize_round_trip():
