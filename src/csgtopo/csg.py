@@ -134,12 +134,12 @@ def combine_grad_operand(rx, ry, b):
     return (b[1] + b[2]) + cross * ry, (b[1] + b[3]) + cross * rx
 
 
-def combine_grad_weights(rx, ry, axis: int = -1) -> np.ndarray:
-    """Partials of combine with respect to (b0, b1, b2, b3), stacked on axis."""
+def combine_grad_weights(rx, ry) -> np.ndarray:
+    """Partials of combine with respect to (b0, b1, b2, b3), on a trailing axis."""
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     prod = rx * ry
-    return np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=axis)
+    return np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=-1)
 
 
 def snap_to_onehot(b) -> np.ndarray:
@@ -222,13 +222,6 @@ class CsgTree:
             w[node] = one_hot(op)
         return cls(depth, w, frozen)
 
-    def with_weights(self, weights: np.ndarray) -> "CsgTree":
-        """Same structure and freezes, new weights (frozen rows reimposed)."""
-        w = np.array(weights, dtype=float)
-        for node, op in self.frozen.items():
-            w[node] = one_hot(op)
-        return CsgTree(self.depth, w, dict(self.frozen), self.leaves.copy())
-
     def snapped(self) -> "CsgTree":
         """Every node snapped to its one-hot operator."""
         w = np.vstack([snap_to_onehot(row) for row in self.weights])
@@ -286,32 +279,40 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray,
     one walk; both results then gain a leading axis of length m.  The walk
     handles one tree level at a time: the nodes first..2*first of a level
     have their left children at the odd and their right children at the
-    even rows of 2*first+1..4*first+2.
+    even rows of 2*first+1..4*first+2.  Every child has exactly one parent,
+    so only the current level's seeds g are kept: the children's seeds are
+    written once, as g * d_rx and g * d_ry, into a fresh (m, n_level, 2,
+    n_cells) block whose rows are the next level in heap order.  Each seed
+    is one product and each weight gradient one dot of g with a vector of
+    combine_grad_weights, so the results are bit for bit those of a walk
+    that sums into a zeroed array of all nodes.
     """
     seed = np.asarray(seed, dtype=float)
     seeds = np.atleast_2d(seed)
+    m, n_cells = seeds.shape
     n_internal = weights.shape[0]
-    grads = np.zeros((seeds.shape[0],) + node_values.shape)
-    grads[:, 0] = seeds
-    weight_grads = np.empty((seeds.shape[0], n_internal, 4))
+    weight_grads = np.empty((m, n_internal, 4))
+    g = seeds[:, None]
     first = 0
     while first < n_internal:
         level = slice(first, 2 * first + 1)
         left = slice(2 * first + 1, 4 * first + 2, 2)
         right = slice(2 * first + 2, 4 * first + 3, 2)
         rx, ry = node_values[left], node_values[right]
-        g = grads[:, level]
         # weights as (4, n_level, 1) so each node's b broadcasts over its cells
         d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
-        grads[:, left] += g * d_rx
-        grads[:, right] += g * d_ry
         # one dot per (objective, node, weight), the same sum as a 1-D g @ partial
-        weight_grads[:, level] = np.vecdot(g[:, :, None, :],
-                                           combine_grad_weights(rx, ry, axis=1))
+        prod = rx * ry
+        for k, partial in enumerate((prod, rx + ry - prod, rx - prod, ry - prod)):
+            weight_grads[:, level, k] = np.vecdot(g, partial)
+        children = np.empty((m, first + 1, 2, n_cells))
+        np.multiply(g, d_rx, out=children[:, :, 0])
+        np.multiply(g, d_ry, out=children[:, :, 1])
+        g = children.reshape(m, 2 * first + 2, n_cells)
         first = 2 * first + 1
     if seed.ndim == 1:
-        return grads[0, n_internal:], weight_grads[0]
-    return grads[:, n_internal:], weight_grads
+        return g[0], weight_grads[0]
+    return g, weight_grads
 
 
 @dataclass(eq=False)

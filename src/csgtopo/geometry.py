@@ -9,14 +9,21 @@ chain
 so the resulting field is differentiable in every polygon parameter.
 Signed distances are negative inside a shape.
 
-rasterize_with_tape runs the chain for all n_p primitives at once on a
+rasterize_with_tape runs the chain for all n_p primitives in one call on a
 sides-first (n_p, S, n_cells) array and keeps one batched ProjectionTape;
 projection_param_grad pulls per-cell sensitivities of every primitive (and
 of several objectives stacked on leading axes) back through that tape.
 Sides-first, every step runs along contiguous rows of n_cells values rather
 than reducing a short trailing axis per cell, and the sides are summed left
 to right, as numpy sums a trailing axis of up to 7 entries, so the fields
-equal those of a cells-first layout.  polygon_sdf, project_density,
+equal those of a cells-first layout.
+
+Both functions walk the primitives in blocks of about _BLOCK_DOUBLES values
+of the (n_p, S, n_cells) stack, so a block's intermediates stay in cache
+between the steps of the chain instead of each step streaming the whole
+stack through memory.  No step mixes primitives: every value gets the same
+operations in the same order as in a one-primitive call, so the results do
+not depend on where the block edges fall.  polygon_sdf, project_density,
 threshold and threshold_derivative are the single-stage forms of the same
 formulas.
 """
@@ -49,6 +56,10 @@ __all__ = [
 ]
 
 _RANGE_TOL = 1e-9
+# values of the (n_p, S, n_cells) stack one block of primitives spans in the
+# projection and its pullback (512 KiB), so a block's intermediates stay in
+# cache from one step of the chain to the next
+_BLOCK_DOUBLES = 2 ** 16
 
 
 def base_angles(sides: int) -> np.ndarray:
@@ -247,7 +258,9 @@ class ProjectionTape:
     lse_weights holds the per-cell softmax weights of the half-spaces,
     sides-first so the pullback multiplies them without a transpose;
     d_sigmoid and d_threshold are the local derivatives of the last two
-    stages of the chain.
+    stages of the chain.  The arrays are allocated whole and filled one
+    block of primitives at a time; row i is what a one-primitive call
+    stores for primitive i.
     """
 
     cos_a: np.ndarray        # (n_p, S)
@@ -259,9 +272,16 @@ class ProjectionTape:
     d_threshold: np.ndarray  # (n_p, n_cells) d rho / d rho_tilde
 
 
+def _blocks(n_p: int, per_primitive: int) -> list[slice]:
+    """Slices of consecutive primitives, each spanning at most _BLOCK_DOUBLES
+    values when one primitive spans per_primitive (but one primitive at least)."""
+    step = max(1, _BLOCK_DOUBLES // per_primitive)
+    return [slice(lo, lo + step) for lo in range(0, n_p, step)]
+
+
 def rasterize_with_tape(params, grid: SampleGrid,
                         cfg: ProjectionConfig) -> tuple[np.ndarray, ProjectionTape]:
-    """Project a sequence of polygons with a common side count in one pass.
+    """Project a sequence of polygons with a common side count in one call.
 
     Returns the (n_p, n_cells) densities, one row per polygon, and the tape
     of the whole chain.
@@ -269,23 +289,26 @@ def rasterize_with_tape(params, grid: SampleGrid,
     pts = grid.points
     d = np.vstack([p.d for p in params])
     n_p, sides = d.shape
+    n_cells = grid.n_cells
     ang = np.array([p.theta for p in params])[:, None] + base_angles(sides)
     cos_a = np.cos(ang)
     sin_a = np.sin(ang)
     rel_x = pts[:, 0] - np.array([p.cx for p in params])[:, None]
     rel_y = pts[:, 1] - np.array([p.cy for p in params])[:, None]
-    # one side at a time: the only temporary is one (n_p, n_cells) row
-    phi_hat = np.empty((n_p, sides, grid.n_cells))
-    for j in range(sides):
-        side = phi_hat[:, j]
-        np.multiply(rel_x, cos_a[:, j, None], out=side)
-        side += rel_y * sin_a[:, j, None]
-        side -= d[:, j, None]
-
-    phi, weights = _smooth_max(phi_hat, cfg.t / cfg.l0)
-    rho_tilde = project_density(phi, cfg)
-    d_sigmoid = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
-    rho, d_threshold = _threshold_chain(rho_tilde, cfg.beta)
+    weights = np.empty((n_p, sides, n_cells))
+    rho = np.empty((n_p, n_cells))
+    d_sigmoid = np.empty((n_p, n_cells))
+    d_threshold = np.empty((n_p, n_cells))
+    for b in _blocks(n_p, sides * n_cells):
+        phi_hat = weights[b]
+        np.multiply(rel_x[b, None], cos_a[b, :, None], out=phi_hat)
+        phi_hat += rel_y[b, None] * sin_a[b, :, None]
+        phi_hat -= d[b, :, None]
+        # overwrites the block's half-spaces with their softmax weights
+        phi, _ = _smooth_max(phi_hat, cfg.t / cfg.l0)
+        rho_tilde = project_density(phi, cfg)
+        d_sigmoid[b] = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
+        rho[b], d_threshold[b] = _threshold_chain(rho_tilde, cfg.beta)
     np.clip(rho, 0.0, 1.0, out=rho)
     tape = ProjectionTape(cos_a, sin_a, rel_x, rel_y, weights, d_sigmoid, d_threshold)
     return rho, tape
@@ -304,16 +327,19 @@ def projection_param_grad(tape: ProjectionTape, seed: np.ndarray):
     axes stack independent objectives.  Returns (d_cx, d_cy, d_theta, d_d),
     the first three shaped seed.shape[:-1] and d_d with a trailing S axis.
     """
-    chain = seed * tape.d_threshold * tape.d_sigmoid
-
-    def pull(v):
+    weights = tape.lse_weights
+    n_p, sides, n_cells = weights.shape
+    # a trailing unit axis makes each primitive's result a contiguous
+    # (S, 1) matrix, so matmul writes it with the same gemv as a fresh array
+    a, sx, sy = np.empty((3,) + seed.shape[:-2] + (n_p, sides, 1))
+    for b in _blocks(n_p, sides * n_cells):
+        chain = seed[..., b, :] * tape.d_threshold[b] * tape.d_sigmoid[b]
         # one gemv W_i v_i per primitive and objective, as on a single
         # primitive; a stacked gemm would sum in another order
-        return np.matmul(tape.lse_weights, v[..., None])[..., 0]
-
-    a = pull(chain)
-    sx = pull(chain * tape.rel_x)
-    sy = pull(chain * tape.rel_y)
+        np.matmul(weights[b], chain[..., None], out=a[..., b, :, :])
+        np.matmul(weights[b], (chain * tape.rel_x[b])[..., None], out=sx[..., b, :, :])
+        np.matmul(weights[b], (chain * tape.rel_y[b])[..., None], out=sy[..., b, :, :])
+    a, sx, sy = a[..., 0], sx[..., 0], sy[..., 0]
     d_cx = -np.vecdot(tape.cos_a, a)
     d_cy = -np.vecdot(tape.sin_a, a)
     d_theta = np.vecdot(tape.cos_a, sy) - np.vecdot(tape.sin_a, sx)

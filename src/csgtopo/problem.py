@@ -25,6 +25,7 @@ from .mma import MmaConfig, MmaState, kkt_residual, mma_update
 
 __all__ = [
     "BENCHMARKS",
+    "MAX_TAPE_DOUBLES",
     "ConfigError",
     "SolverAbort",
     "ProblemSpec",
@@ -40,6 +41,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 BENCHMARKS = ("mbb", "mid_cantilever")
+
+# memory budget of the projection tape, in doubles (2^26 doubles = 512 MiB)
+MAX_TAPE_DOUBLES = 2 ** 26
 
 
 class ConfigError(ValueError):
@@ -182,6 +186,14 @@ class ProblemSpec:
             fail("tree_depth", f"must be >= 1, got {self.tree_depth}")
         if self.sides < 3:
             fail("sides", f"must be >= 3, got {self.sides}")
+        # checked before anything is allocated: the projection tape is the
+        # largest array of a run, 2^depth * sides * nx * ny doubles
+        tape = self.n_primitives * self.sides * self.nx * self.ny
+        if tape > MAX_TAPE_DOUBLES:
+            fail("tree_depth", f"the projection tape of 2^{self.tree_depth} primitives "
+                 f"x {self.sides} sides x {self.nx}x{self.ny} cells is {tape:.3g} "
+                 f"doubles, over the budget of {MAX_TAPE_DOUBLES} (512 MiB); "
+                 "lower tree_depth, sides, nx or ny")
         for name in ("gamma", "beta", "lse_scale", "softmax_scale"):
             if not getattr(self, name) > 0:
                 fail(name, f"must be positive, got {getattr(self, name)}")

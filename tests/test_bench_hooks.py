@@ -53,3 +53,31 @@ def test_every_layer_is_entered(tracing, tmp_path):
     # fea.reduce_system is only a test oracle now: the solve never calls it
     oracle = "csgtopo.fea:reduce_system"
     assert [h.target for h in hooks if h.target not in entered | {oracle}] == []
+
+
+def test_layer_spans_are_per_call_not_per_block(tracing, tmp_path):
+    # the default 60x30 depth-4 problem spans three blocks of primitives;
+    # a block loop that re-entered a hooked function would multiply its
+    # calls and split its self time
+    from csgtopo import cli, geometry
+    from csgtopo.mma import MmaConfig
+    from csgtopo.problem import ProblemSpec
+
+    spec = ProblemSpec(mma=MmaConfig(max_iter=3))
+    per_block = geometry._BLOCK_DOUBLES // (spec.sides * spec.nx * spec.ny)
+    assert spec.n_primitives > 2 * per_block
+    targets = {"problem:Model.forward", "problem:Model.gradients",
+               "geometry:rasterize_with_tape", "geometry:projection_param_grad",
+               "csg:tree_backward"}
+    hooks = [tracing.Hook(f"csgtopo.{t}", t) for t in sorted(targets)]
+    tracer = tracing.Tracer("test")
+    with tracer.installed(hooks) as missing:
+        summary = cli.execute_run(spec, tmp_path)
+    assert missing == []
+    calls = {t: sum(1 for span in tracer.spans if span[0] == t) for t in targets}
+    iterations = summary["iterations"]
+    assert iterations == calls["problem:Model.forward"] == calls["problem:Model.gradients"] > 0
+    # one projection per forward pass and one more in _finalize
+    assert calls["geometry:rasterize_with_tape"] == iterations + 1
+    assert calls["geometry:projection_param_grad"] == iterations
+    assert calls["csg:tree_backward"] == iterations

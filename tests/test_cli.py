@@ -46,6 +46,14 @@ def test_run_rejects_invalid_volume_fraction(tmp_path, capsys):
     assert "vf_star" in capsys.readouterr().err
 
 
+def test_run_rejects_oversized_tree_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"tree_depth": 30})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "tree_depth" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_rejects_unknown_keys(tmp_path, capsys):
     cfg = write_config(tmp_path, {**QUICK, "volfrac": 0.4})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

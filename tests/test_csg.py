@@ -215,6 +215,48 @@ def test_tree_backward_stacked_rows_equal_single_seed_calls():
         assert np.array_equal(weight_grads[r], weight_r)
 
 
+def reference_tree_backward(weights, node_values, seed):
+    # the walk as it ran before it kept only the current level: a zeroed
+    # (m, n_nodes, n_cells) array the children's seeds are summed into, and
+    # the weight partials stacked as one (n_level, 4, n_cells) block
+    seeds = np.atleast_2d(seed)
+    n_internal = weights.shape[0]
+    grads = np.zeros((seeds.shape[0],) + node_values.shape)
+    grads[:, 0] = seeds
+    weight_grads = np.empty((seeds.shape[0], n_internal, 4))
+    first = 0
+    while first < n_internal:
+        level = slice(first, 2 * first + 1)
+        left = slice(2 * first + 1, 4 * first + 2, 2)
+        right = slice(2 * first + 2, 4 * first + 3, 2)
+        rx, ry = node_values[left], node_values[right]
+        g = grads[:, level]
+        d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
+        grads[:, left] += g * d_rx
+        grads[:, right] += g * d_ry
+        prod = rx * ry
+        partials = np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=1)
+        weight_grads[:, level] = np.vecdot(g[:, :, None, :], partials)
+        first = 2 * first + 1
+    if np.ndim(seed) == 1:
+        return grads[0, n_internal:], weight_grads[0]
+    return grads[:, n_internal:], weight_grads
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tree_backward_equals_zero_filled_reference(depth):
+    rng = np.random.default_rng(depth)
+    n_cells = 37
+    weights = rng.dirichlet(np.ones(4), 2 ** depth - 1)
+    node_values = evaluate_tree_values(weights, rng.random((2 ** depth, n_cells)))
+    for seed in (rng.standard_normal(n_cells), rng.standard_normal((2, n_cells))):
+        got = tree_backward(weights, node_values, seed)
+        want = reference_tree_backward(weights, node_values, seed)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 def test_tree_backward_matches_fd():
     rng = np.random.default_rng(4)
     depth, n_cells = 2, 12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from csgtopo import geometry
 from csgtopo.geometry import (DensityField, PolygonParams, ProjectionConfig,
                               SampleGrid, base_angles, halfspace_sdf,
                               halfspace_sdfs, polygon_sdf, project_density,
@@ -340,3 +341,28 @@ def test_batched_pullback_rows_are_independent():
             one = projection_param_grad(single, seeds[r, i][None])
             for got, want in zip(batched, one):
                 assert np.array_equal(got[r, i], want[0])
+
+
+@pytest.mark.parametrize("sides", [6, 8])
+def test_blocked_chain_equals_one_primitive_calls(sides):
+    # 64x32 cells: a block holds fewer than the 7 primitives and the last
+    # block is ragged, so block edges cross the batch
+    grid = SampleGrid(64, 32, 60.0, 30.0)
+    cfg = ProjectionConfig.for_domain(60.0, 30.0)
+    n_p = 7
+    per_block = geometry._BLOCK_DOUBLES // (sides * grid.n_cells)
+    assert 1 < per_block < n_p and n_p % per_block != 0
+    rng = np.random.default_rng(17)
+    params = random_polygons(rng, n_p, sides, 60.0, 30.0)
+    seeds = rng.standard_normal((2, n_p, grid.n_cells))
+    rho, tape = rasterize_with_tape(params, grid, cfg)
+    batched = projection_param_grad(tape, seeds)
+    for i, p in enumerate(params):
+        rho_i, tape_i = rasterize_with_tape([p], grid, cfg)
+        assert np.array_equal(rho[i], rho_i[0])
+        for name in ("cos_a", "sin_a", "rel_x", "rel_y", "lse_weights",
+                     "d_sigmoid", "d_threshold"):
+            assert np.array_equal(getattr(tape, name)[i], getattr(tape_i, name)[0]), name
+        one = projection_param_grad(tape_i, seeds[:, i, None])
+        for got, want in zip(batched, one):
+            assert np.array_equal(got[:, i], want[:, 0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from csgtopo import fea
 from csgtopo.csg import one_hot, softmax_encode
 from csgtopo.mma import MmaConfig
-from csgtopo.problem import (ConfigError, Model, ProblemSpec, SolverAbort,
-                             builtin_problem, initialize, optimize)
+from csgtopo.problem import (MAX_TAPE_DOUBLES, ConfigError, Model, ProblemSpec,
+                             SolverAbort, builtin_problem, initialize, optimize)
 
 
 def quick_spec(**overrides):
@@ -47,6 +48,33 @@ def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
     with pytest.raises(ConfigError):
         spec.validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tree_depth": 30},
+    {"tree_depth": 10, "sides": 4, "nx": 129, "ny": 128},    # one column over
+    {"tree_depth": 1, "sides": 3, "nx": 10 ** 6, "ny": 10 ** 6},
+])
+def test_oversized_tape_is_rejected_before_allocation(overrides):
+    spec = ProblemSpec(**overrides)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^tree_depth: "):
+            spec.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tape_budget_admits_every_documented_config():
+    # 2^10 * 4 * 128 * 128 doubles is the budget exactly
+    ProblemSpec(tree_depth=10, sides=4, nx=128, ny=128).validate()
+    # the largest config of the tests and the README, the 100x50 depth-6
+    # cantilever, stays far below it
+    spec = ProblemSpec(nx=100, ny=50, tree_depth=6, benchmark="mid_cantilever")
+    spec.validate()
+    assert 2 ** 6 * 6 * 100 * 50 * 30 < MAX_TAPE_DOUBLES
 
 
 # 12x6 mesh: 2 * 13 * 7 = 182 dofs; the mbb supports and load of that mesh

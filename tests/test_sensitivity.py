@@ -32,6 +32,21 @@ def test_full_gradient_matches_fd(small_spec):
     assert gate(entries) < 1e-4
 
 
+def test_full_gradient_matches_fd_with_eight_sides(small_spec):
+    # at 8 or more sides the LogSumExp sum runs in another order than np.sum
+    spec = dataclasses.replace(small_spec, sides=8)
+    four = connected_design(small_spec)
+    z = np.zeros(spec.design_size)
+    z[:12] = four[:12]
+    # each square's four offsets on two sides each of an octagon, widened
+    # by 1.2 so the octagons, which cut the squares' corners, still join the
+    # load and the support (J about 1.2e3 against 9.5e2 for the squares)
+    z[12:44] = 1.2 * np.repeat(four[12:28].reshape(4, 4), 2, axis=1).ravel()
+    z[44:] = four[28:]
+    entries = fd_check(Model(spec), z, step=1e-6)
+    assert gate(entries) < 1e-3
+
+
 def test_volume_gradient_matches_fd_at_random_designs(small_spec):
     # the volume chain involves no solve, so random designs difference cleanly
     model = Model(small_spec)
