@@ -193,25 +193,24 @@ def write_design_pgm(path: Path, field) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _leaf_node(result: OptimizeResult, nid: int, primitive: int) -> dict:
+    p = result.params[primitive]
+    return {"id": nid, "kind": "leaf", "primitive": primitive,
+            "params": {"cx": p.cx, "cy": p.cy, "theta": p.theta, "d": list(p.d)}}
+
+
 def _tree_nodes(result: OptimizeResult) -> list[dict]:
+    """Heap order: internal nodes first, then leaf n_internal + i holding primitive i."""
     tree = result.snapped_tree
-    relaxed = result.tree
-    nodes = []
-    for k in range(tree.n_nodes):
-        if tree.is_leaf(k):
-            p = result.params[tree.leaf_primitive(k)]
-            nodes.append({
-                "id": k, "kind": "leaf", "primitive": tree.leaf_primitive(k),
-                "params": {"cx": p.cx, "cy": p.cy, "theta": p.theta,
-                           "d": list(p.d)},
-            })
-        else:
-            nodes.append({
-                "id": k, "kind": "internal", "children": list(tree.children(k)),
-                "operator": tree.operator_name(k),
-                "weights": list(relaxed.weights[k]),
-                "frozen": k in tree.frozen,
-            })
+    n_internal = tree.n_internal
+    nodes = [{
+        "id": k, "kind": "internal", "children": [2 * k + 1, 2 * k + 2],
+        "operator": tree.operator_name(k),
+        "weights": list(result.tree.weights[k]),
+        "frozen": k in tree.frozen,
+    } for k in range(n_internal)]
+    nodes.extend(_leaf_node(result, n_internal + i, i)
+                 for i in range(len(result.params)))
     return nodes
 
 
@@ -225,10 +224,7 @@ def _pruned_nodes(result: OptimizeResult) -> list[dict] | None:
         nid = len(nodes)
         nodes.append(None)  # reserve slot so ids follow preorder
         if node.is_leaf:
-            p = result.params[node.primitive]
-            nodes[nid] = {"id": nid, "kind": "leaf", "primitive": node.primitive,
-                          "params": {"cx": p.cx, "cy": p.cy, "theta": p.theta,
-                                     "d": list(p.d)}}
+            nodes[nid] = _leaf_node(result, nid, node.primitive)
         else:
             left = visit(node.left)
             right = visit(node.right)

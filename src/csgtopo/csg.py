@@ -7,6 +7,11 @@ Each internal tree node carries a 4-weight simplex vector b; the node output is
 which reproduces intersection, union, difference and negative difference at
 the one-hot corners and interpolates linearly in between.  The left child is
 always the rx operand.
+
+The tree lives in heap-ordered arrays: an (n_internal, 4) weight array and
+an (n_leaves, n_cells) array of leaf fields, leaf i holding primitive i.
+evaluate_tree_values and tree_backward walk them a level at a time; prune
+turns a snapped tree into linked PrunedNodes with the empty nodes removed.
 """
 
 from __future__ import annotations
@@ -16,15 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DensityField
-
 __all__ = [
     "OPERATOR_NAMES",
     "INTERSECTION",
     "UNION",
     "DIFFERENCE",
     "NEGATIVE_DIFFERENCE",
-    "BooleanWeights",
     "CsgTree",
     "PrunedNode",
     "PrunedTree",
@@ -33,7 +35,6 @@ __all__ = [
     "combine",
     "combine_grad_operand",
     "combine_grad_weights",
-    "evaluate_tree",
     "evaluate_tree_values",
     "tree_backward",
     "snap_to_onehot",
@@ -64,37 +65,6 @@ def operator_index(name: str) -> int:
             f"unknown operator {name!r}; valid: {', '.join(OPERATOR_NAMES)}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class BooleanWeights:
-    """Simplex-constrained operator weights (b0, b1, b2, b3)."""
-
-    b0: float
-    b1: float
-    b2: float
-    b3: float
-
-    def __post_init__(self):
-        b = self.as_array()
-        if (b < -_SIMPLEX_TOL).any() or (b > 1.0 + _SIMPLEX_TOL).any():
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(float(b.sum()) - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"weights must sum to 1, got {b.sum()!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.b0, self.b1, self.b2, self.b3], dtype=float)
-
-    @classmethod
-    def from_array(cls, b) -> "BooleanWeights":
-        b = np.asarray(b, dtype=float).ravel()
-        if b.size != 4:
-            raise ValueError(f"expected 4 weights, got {b.size}")
-        return cls(*b)
-
-    @classmethod
-    def for_operator(cls, operator: int) -> "BooleanWeights":
-        return cls.from_array(one_hot(operator))
-
-
 def softmax_encode(zb, scale: float = 4.0) -> np.ndarray:
     """Map 4 normalized values to simplex weights through a scaled softmax.
 
@@ -110,15 +80,9 @@ def softmax_encode(zb, scale: float = 4.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _weights_array(b) -> np.ndarray:
-    if isinstance(b, BooleanWeights):
-        return b.as_array()
-    return np.asarray(b, dtype=float)
-
-
 def combine(rx, ry, b):
     """Interpolated Boolean operation applied element-wise to two densities."""
-    b = _weights_array(b)
+    b = np.asarray(b, dtype=float)
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     return (b[1] + b[2]) * rx + (b[1] + b[3]) * ry \
@@ -127,24 +91,24 @@ def combine(rx, ry, b):
 
 def combine_grad_operand(rx, ry, b):
     """Partial derivatives of combine with respect to rx and ry."""
-    b = _weights_array(b)
+    b = np.asarray(b, dtype=float)
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     cross = b[0] - b[1] - b[2] - b[3]
     return (b[1] + b[2]) + cross * ry, (b[1] + b[3]) + cross * rx
 
 
-def combine_grad_weights(rx, ry) -> np.ndarray:
-    """Partials of combine with respect to (b0, b1, b2, b3), on a trailing axis."""
+def combine_grad_weights(rx, ry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Partials of combine with respect to b0, b1, b2 and b3, in that order."""
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     prod = rx * ry
-    return np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=-1)
+    return prod, rx + ry - prod, rx - prod, ry - prod
 
 
 def snap_to_onehot(b) -> np.ndarray:
     """One-hot at the largest weight; ties go to the lowest operator index."""
-    b = _weights_array(b).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     if b.size != 4:
         raise ValueError(f"expected 4 weights, got {b.size}")
     return one_hot(int(np.argmax(b)))
@@ -156,14 +120,13 @@ class CsgTree:
 
     Heap indexing from the root at 0: node k has children 2k+1 (left, the rx
     operand) and 2k+2 (right).  Internal nodes occupy indices 0..2^depth-2;
-    leaf k maps to primitive leaves[k - n_internal].  Frozen nodes are locked
-    to a one-hot operator the optimizer must not touch.
+    leaf k holds primitive k - n_internal.  Frozen nodes are locked to a
+    one-hot operator the optimizer must not touch.
     """
 
     depth: int
     weights: np.ndarray                 # (n_internal, 4)
     frozen: dict[int, int] = field(default_factory=dict)
-    leaves: np.ndarray | None = None    # (n_leaves,) primitive indices
 
     def __post_init__(self):
         if self.depth < 1:
@@ -181,51 +144,18 @@ class CsgTree:
             if not np.array_equal(w[node], one_hot(op)):
                 raise ValueError(f"frozen node {node} must carry one-hot operator {op}")
         self.weights = w
-        if self.leaves is None:
-            self.leaves = np.arange(self.n_leaves)
-        else:
-            leaves = np.asarray(self.leaves, dtype=int)
-            if leaves.shape != (self.n_leaves,):
-                raise ValueError(f"expected {self.n_leaves} leaves, got {leaves.shape}")
-            self.leaves = leaves
 
     @property
     def n_internal(self) -> int:
         return 2 ** self.depth - 1
 
-    @property
-    def n_leaves(self) -> int:
-        return 2 ** self.depth
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 ** (self.depth + 1) - 1
-
-    @staticmethod
-    def children(k: int) -> tuple[int, int]:
-        return 2 * k + 1, 2 * k + 2
-
-    def is_leaf(self, k: int) -> bool:
-        return k >= self.n_internal
-
-    def leaf_primitive(self, k: int) -> int:
-        return int(self.leaves[k - self.n_internal])
-
     def operator_name(self, k: int) -> str:
         return OPERATOR_NAMES[int(np.argmax(self.weights[k]))]
-
-    @classmethod
-    def uniform(cls, depth: int, frozen: dict[int, int] | None = None) -> "CsgTree":
-        frozen = dict(frozen or {})
-        w = np.full((2 ** depth - 1, 4), 0.25)
-        for node, op in frozen.items():
-            w[node] = one_hot(op)
-        return cls(depth, w, frozen)
 
     def snapped(self) -> "CsgTree":
         """Every node snapped to its one-hot operator."""
         w = np.vstack([snap_to_onehot(row) for row in self.weights])
-        return CsgTree(self.depth, w, dict(self.frozen), self.leaves.copy())
+        return CsgTree(self.depth, w, dict(self.frozen))
 
 
 def evaluate_tree_values(weights: np.ndarray, leaf_values: np.ndarray) -> np.ndarray:
@@ -251,22 +181,6 @@ def evaluate_tree_values(weights: np.ndarray, leaf_values: np.ndarray) -> np.nda
         values[level] = combine(values[left], values[right], weights[level].T[..., None])
         first = (first - 1) // 2
     return values
-
-
-def evaluate_tree(tree: CsgTree, leaf_fields) -> DensityField:
-    """Evaluate the tree over DensityField leaves and return the root field."""
-    if len(leaf_fields) != tree.n_leaves:
-        raise ValueError(
-            f"tree with depth {tree.depth} needs {tree.n_leaves} leaf fields, "
-            f"got {len(leaf_fields)}")
-    grid = leaf_fields[0].grid
-    for f in leaf_fields[1:]:
-        if not grid.matches(f.grid):
-            raise ValueError("leaf fields sampled on mismatched grids")
-    stacked = np.vstack([leaf_fields[tree.leaf_primitive(tree.n_internal + i)].values
-                         for i in range(tree.n_leaves)])
-    values = evaluate_tree_values(tree.weights, stacked)
-    return DensityField(np.clip(values[0], 0.0, 1.0), grid)
 
 
 def tree_backward(weights: np.ndarray, node_values: np.ndarray,
@@ -302,8 +216,7 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray,
         # weights as (4, n_level, 1) so each node's b broadcasts over its cells
         d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
         # one dot per (objective, node, weight), the same sum as a 1-D g @ partial
-        prod = rx * ry
-        for k, partial in enumerate((prod, rx + ry - prod, rx - prod, ry - prod)):
+        for k, partial in enumerate(combine_grad_weights(rx, ry)):
             weight_grads[:, level, k] = np.vecdot(g, partial)
         children = np.empty((m, first + 1, 2, n_cells))
         np.multiply(g, d_rx, out=children[:, :, 0])
@@ -367,60 +280,48 @@ def evaluate_pruned_values(tree: PrunedTree, leaf_values: np.ndarray) -> np.ndar
     return _pruned_values(tree.root, leaf_values)
 
 
-def _prune_pass(node: PrunedNode, leaf_values: np.ndarray,
-                eps: float) -> tuple[PrunedNode | None, bool]:
-    """One bottom-up sweep of the rewrite rules; None stands for empty."""
-    if node.is_leaf:
-        if float(leaf_values[node.primitive].max()) < eps:
-            return None, True
-        return node, False
-    left, changed_l = _prune_pass(node.left, leaf_values, eps)
-    right, changed_r = _prune_pass(node.right, leaf_values, eps)
-    changed = changed_l or changed_r
-    op = node.operator
-    if left is None and right is None:
-        return None, True
-    if left is None:
-        # empty OP y: union/negative-difference keep y, the rest are empty
-        keep = op in (UNION, NEGATIVE_DIFFERENCE)
-        return (right, True) if keep else (None, True)
-    if right is None:
-        # x OP empty: union/difference keep x, the rest are empty
-        keep = op in (UNION, DIFFERENCE)
-        return (left, True) if keep else (None, True)
-    node.left, node.right = left, right
-    if float(_pruned_values(node, leaf_values).max()) < eps:
-        return None, True
-    return node, changed
+def _prune_subtree(k: int, ops: np.ndarray, leaf_values: np.ndarray,
+                   eps: float) -> tuple[PrunedNode, np.ndarray] | None:
+    """The pruned subtree at heap node k and its field; None when empty."""
+    n_internal = len(ops)
+    if k >= n_internal:
+        values = leaf_values[k - n_internal]
+        if float(values.max()) < eps:
+            return None
+        return PrunedNode(primitive=k - n_internal), values
+    left = _prune_subtree(2 * k + 1, ops, leaf_values, eps)
+    right = _prune_subtree(2 * k + 2, ops, leaf_values, eps)
+    op = int(ops[k])
+    if left is None or right is None:
+        # x OP empty keeps x under union and difference, empty OP y keeps
+        # y under union and negative difference; the rest are empty
+        if left is not None and op in (UNION, DIFFERENCE):
+            return left
+        if right is not None and op in (UNION, NEGATIVE_DIFFERENCE):
+            return right
+        return None
+    values = combine(left[1], right[1], one_hot(op))
+    if float(values.max()) < eps:
+        return None
+    return PrunedNode(operator=op, left=left[0], right=right[0]), values
 
 
-def prune(tree: CsgTree, leaf_fields, eps_empty: float = 0.01) -> PrunedTree:
+def prune(tree: CsgTree, leaf_values: np.ndarray, eps_empty: float = 0.01) -> PrunedTree:
     """Drop empty nodes from a snapped tree.
 
-    A node is empty when its evaluated field peaks below eps_empty; the
-    rewrite rules are applied bottom-up and repeated until no empty node
-    remains, so every surviving node carries a non-empty field.  Requires
+    leaf_values is the (n_leaves, n_cells) array of leaf fields.  A node is
+    empty when its field peaks below eps_empty.  One bottom-up pass returns
+    each surviving subtree with its field: an empty leaf drops out, an
+    operand found empty is resolved by the rewrite rules, and a node with
+    two surviving operands is kept unless the combination of their fields
+    is empty.  So every surviving node carries a non-empty field.  Requires
     one-hot weights.
     """
-    for k in range(tree.n_internal):
-        if not np.array_equal(tree.weights[k], one_hot(int(np.argmax(tree.weights[k])))):
-            raise ValueError("prune requires a snapped (one-hot) tree")
-    if hasattr(leaf_fields[0], "values"):
-        leaf_values = np.vstack([f.values for f in leaf_fields])
-    else:
-        leaf_values = np.asarray(leaf_fields, dtype=float)
-
-    def build(k: int) -> PrunedNode:
-        if tree.is_leaf(k):
-            return PrunedNode(primitive=tree.leaf_primitive(k))
-        return PrunedNode(operator=int(np.argmax(tree.weights[k])),
-                          left=build(2 * k + 1), right=build(2 * k + 2))
-
-    root: PrunedNode | None = build(0)
-    while root is not None:
-        root, changed = _prune_pass(root, leaf_values, eps_empty)
-        if not changed:
-            break
-    if root is None:
+    ops = np.argmax(tree.weights, axis=1)
+    if not np.array_equal(tree.weights, np.eye(4)[ops]):
+        raise ValueError("prune requires a snapped (one-hot) tree")
+    kept = _prune_subtree(0, ops, np.asarray(leaf_values, dtype=float), eps_empty)
+    if kept is None:
         log.warning("pruning removed every node: the design is empty")
-    return PrunedTree(root)
+        return PrunedTree(None)
+    return PrunedTree(kept[0])

@@ -163,9 +163,6 @@ class SampleGrid:
         xx, yy = np.meshgrid(xs, ys)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    def matches(self, other: "SampleGrid") -> bool:
-        return (self.nx, self.ny, self.lx, self.ly) == (other.nx, other.ny, other.lx, other.ly)
-
 
 @dataclass(eq=False)
 class DensityField:

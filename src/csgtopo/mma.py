@@ -18,6 +18,7 @@ when the outer iterate violates the constraint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,16 @@ class MmaConfig:
     slack_penalty: float = 1000.0
 
     def __post_init__(self):
+        # a config document can carry any JSON value, Infinity included
+        if isinstance(self.max_iter, bool) \
+                or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        for name in ("move_limit", "kkt_tol", "step_tol", "asymptote_init",
+                     "asymptote_incr", "asymptote_decr", "slack_penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0 < self.move_limit <= 1:
             raise ValueError(f"move_limit must lie in (0, 1], got {self.move_limit}")
         for name in ("kkt_tol", "step_tol", "asymptote_init", "asymptote_incr",
@@ -76,6 +87,7 @@ _BOUND_GAP = 0.1      # keep alpha/beta this fraction inside the asymptotes
 _INNER_MOVE = 0.5     # step cap within the already move-limited box
 _ASY_MIN = 0.01       # clamp factors on asymptote distance, in box ranges
 _ASY_MAX = 10.0
+_BOUND_TOL = 1e-12    # an entry this close to 0 or 1 counts as on the bound
 
 
 def _rational_coefficients(df: np.ndarray, ux: np.ndarray, xl: np.ndarray,
@@ -87,14 +99,12 @@ def _rational_coefficients(df: np.ndarray, ux: np.ndarray, xl: np.ndarray,
 
 
 def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
-               dg: np.ndarray, state: MmaState, cfg: MmaConfig,
-               lower: np.ndarray | None = None,
-               upper: np.ndarray | None = None) -> tuple[np.ndarray, MmaState]:
+               dg: np.ndarray, state: MmaState,
+               cfg: MmaConfig) -> tuple[np.ndarray, MmaState]:
     """One MMA step; returns the new iterate and the advanced state.
 
-    Minimizes j subject to g <= 0 and lower <= z <= upper (defaults [0, 1]).
-    The new iterate stays within move_limit * (upper - lower) of z in every
-    coordinate and inside the bounds exactly.
+    Minimizes j subject to g <= 0 and 0 <= z <= 1.  The new iterate stays
+    within move_limit of z in every coordinate and inside [0, 1] exactly.
     """
     x = np.asarray(z, dtype=float).copy()
     n = x.size
@@ -108,13 +118,10 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
             and math.isfinite(g_val)):
         raise ValueError("non-finite value in MMA inputs")
 
-    bound_lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-    bound_hi = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
-    # the subproblem box is the move-limit window clipped to the true bounds;
+    # the subproblem box is the move-limit window clipped to [0, 1];
     # asymptote spacing and regularization scale with this tightened range
-    move = cfg.move_limit * (bound_hi - bound_lo)
-    xmin = np.maximum(bound_lo, x - move)
-    xmax = np.minimum(bound_hi, x + move)
+    xmin = np.maximum(0.0, x - cfg.move_limit)
+    xmax = np.minimum(1.0, x + cfg.move_limit)
     rng = xmax - xmin
 
     k = state.iteration + 1
@@ -190,20 +197,17 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
 
 
 def kkt_residual(z: np.ndarray, dj: np.ndarray, g_val: float, dg: np.ndarray,
-                 lam: float, lower: np.ndarray | None = None,
-                 upper: np.ndarray | None = None, bound_tol: float = 1e-12) -> float:
+                 lam: float) -> float:
     """Projected stationarity norm plus the complementarity defect |lam * g|.
 
-    Stationarity entries pinned by an active bound contribute nothing when
-    the gradient pushes further into that bound.
+    Stationarity entries pinned by an active bound of [0, 1] contribute
+    nothing when the gradient pushes further into that bound.
     """
     z = np.asarray(z, dtype=float)
     r = np.asarray(dj, dtype=float) + lam * np.asarray(dg, dtype=float)
-    xmin = np.zeros_like(z) if lower is None else np.asarray(lower, dtype=float)
-    xmax = np.ones_like(z) if upper is None else np.asarray(upper, dtype=float)
     proj = r.copy()
-    at_lo = z <= xmin + bound_tol
-    at_hi = z >= xmax - bound_tol
+    at_lo = z <= _BOUND_TOL
+    at_hi = z >= 1.0 - _BOUND_TOL
     proj[at_lo] = np.minimum(r[at_lo], 0.0)
     proj[at_hi] = np.maximum(r[at_hi], 0.0)
     return float(np.abs(proj).max(initial=0.0) + abs(lam * float(g_val)))

@@ -166,6 +166,8 @@ class ProblemSpec:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Real)):
                 fail(name, f"must be a number, got {value!r}")
+            if value is not None and not math.isfinite(value):
+                fail(name, f"must be finite, got {value!r}")
         if self.seed < 0:
             fail("seed", f"must be >= 0, got {self.seed}")
         if self.nx < 1 or self.ny < 1:
@@ -199,6 +201,8 @@ class ProblemSpec:
                 fail(name, f"must be positive, got {getattr(self, name)}")
         for name, pair in self.bounds().items():
             lo, hi = pair
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                fail(f"{name}_bounds", f"bounds must be finite, got {pair}")
             if not lo < hi:
                 fail(f"{name}_bounds", f"lower bound must be below upper, got {pair}")
         for node, op in self.frozen_operators.items():
@@ -227,6 +231,9 @@ class ProblemSpec:
                 for dof in dofs:
                     if not 0 <= dof < ndof:
                         fail(name, f"dof {dof} out of range [0, {ndof})")
+            for dof, value in self.loads:
+                if not math.isfinite(value):
+                    fail("loads", f"load {value!r} at dof {dof} is not finite")
             dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})
             if dups:
                 fail("loads", f"dof {dups[0]} is loaded more than once")
@@ -284,7 +291,6 @@ class Model:
             self.bcs = fea.BoundaryConditions(
                 np.asarray(spec.fixed_dofs, dtype=int),
                 {int(d): float(v) for d, v in spec.loads})
-        self.f = fea.load_vector(self.bcs, self.mesh.ndof)
         self.frozen = spec.frozen_indices
         self.free_nodes = [k for k in range(spec.n_operators) if k not in self.frozen]
         self.bounds = spec.bounds()
@@ -438,9 +444,6 @@ class RunHistory:
 
     def __iter__(self):
         return iter(self.records)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
 
 @dataclass(eq=False)

@@ -99,7 +99,13 @@ class FdEntry:
 
     @property
     def max_rel_err(self) -> float:
-        """Worst relative error over the two functionals, FD floor applied."""
+        """Worst relative error over the two functionals, FD floor applied.
+
+        A non-finite analytic or FD value scores inf, so it can never pass.
+        """
+        values = [self.analytic_j, self.fd_j, self.analytic_g, self.fd_g]
+        if not np.isfinite(values).all():
+            return np.inf
         worst = 0.0
         if abs(self.fd_j) > FD_FLOOR:
             worst = max(worst, self.rel_err_j)

@@ -103,9 +103,19 @@ def test_effective_config_round_trips(tmp_path):
     ({"e0": "x"}, [], "e0"),
     ({"mma": {"max_iter": "x"}}, [], "mma"),
     ({"frozen_operators": [1]}, [], "frozen_operators"),
+    ({"mma": {"max_iter": 2.5}}, [], "mma"),
+    ({"mma": {"max_iter": True}}, [], "mma"),
+    ({"mma": {"kkt_tol": float("inf")}}, [], "mma"),
+    ({"gamma": float("inf")}, [], "gamma"),
+    ({"penalty": float("inf")}, [], "penalty"),
+    ({"lx": float("inf")}, [], "lx"),
+    ({"e0": float("inf")}, [], "e0"),
+    ({"d_bounds": [0.0, float("inf")]}, [], "d_bounds"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, float("inf")]]}, [],
+     "loads"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
-    # each of these used to end in a raw ValueError/TypeError traceback
+    # a mistyped or non-finite value exits 1 with an error naming its field
     cfg = write_config(tmp_path, {**QUICK, **overrides})
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 1
@@ -211,6 +221,20 @@ def test_check_grad_detects_corruption(tmp_path, monkeypatch):
         j_val, g_val, dj, dg = clean(self, z)
         dj = np.array(dj)
         dj[0] = dj[0] * 1.1 + 1e-3
+        return j_val, g_val, dj, dg
+
+    monkeypatch.setattr(Model, "forward_gradients", corrupted)
+    assert main(["check-grad", "--config", str(cfg)]) == 3
+
+
+def test_check_grad_fails_on_nan_gradient(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, GRAD_CHECK)
+    clean = Model.forward_gradients
+
+    def corrupted(self, z):
+        j_val, g_val, dj, dg = clean(self, z)
+        dj = np.array(dj)
+        dj[0] = np.nan
         return j_val, g_val, dj, dg
 
     monkeypatch.setattr(Model, "forward_gradients", corrupted)

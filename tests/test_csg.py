@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from csgtopo.csg import (BooleanWeights, CsgTree, DIFFERENCE, INTERSECTION,
-                         NEGATIVE_DIFFERENCE, OPERATOR_NAMES, UNION, combine,
+from csgtopo.csg import (CsgTree, DIFFERENCE, INTERSECTION, NEGATIVE_DIFFERENCE,
+                         OPERATOR_NAMES, UNION, PrunedNode, PrunedTree, combine,
                          combine_grad_operand, combine_grad_weights,
-                         evaluate_tree, evaluate_tree_values, one_hot, prune,
-                         snap_to_onehot, softmax_encode, tree_backward)
-from csgtopo.geometry import (DensityField, PolygonParams, ProjectionConfig,
-                              SampleGrid, halfspace_sdfs, rasterize_primitive)
+                         evaluate_pruned_values, evaluate_tree_values, one_hot,
+                         prune, snap_to_onehot, softmax_encode, tree_backward)
+from csgtopo.geometry import (PolygonParams, ProjectionConfig, SampleGrid,
+                              halfspace_sdfs, rasterize_primitive)
 
 TABLE = {
     INTERSECTION: lambda x, y: x * y,
@@ -145,23 +145,18 @@ def test_grad_weights_matches_fd():
 # -- tree evaluation ---------------------------------------------------------------
 
 def test_evaluate_tree_self_union():
-    grid = SampleGrid(8, 4, 8.0, 4.0)
     rng = np.random.default_rng(1)
-    f = rng.random(grid.n_cells)
-    tree = CsgTree(1, one_hot(UNION)[None, :])
-    fields = [DensityField(f, grid), DensityField(f, grid)]
-    out = evaluate_tree(tree, fields)
-    assert np.allclose(out.values, 2 * f - f * f, atol=1e-15)
+    f = rng.random(32)
+    out = evaluate_tree_values(one_hot(UNION)[None, :], np.vstack([f, f]))[0]
+    assert np.allclose(out, 2 * f - f * f, atol=1e-15)
 
 
 def test_evaluate_tree_nested_unions():
-    grid = SampleGrid(6, 3, 6.0, 3.0)
     rng = np.random.default_rng(2)
-    leaves = rng.random((4, grid.n_cells))
-    tree = CsgTree(2, np.tile(one_hot(UNION), (3, 1)))
-    out = evaluate_tree(tree, [DensityField(v, grid) for v in leaves])
+    leaves = rng.random((4, 18))
+    out = evaluate_tree_values(np.tile(one_hot(UNION), (3, 1)), leaves)[0]
     expected = 1.0 - np.prod(1.0 - leaves, axis=0)
-    assert np.abs(out.values - expected).max() < 1e-12
+    assert np.abs(out - expected).max() < 1e-12
 
 
 @given(seed=st.integers(0, 2 ** 31), depth=st.integers(1, 3))
@@ -190,14 +185,6 @@ def test_evaluate_tree_levels_equal_per_node_loop(depth):
 def test_evaluate_tree_values_rejects_imperfect_tree():
     with pytest.raises(ValueError):
         evaluate_tree_values(np.full((2, 4), 0.25), np.zeros((3, 5)))
-
-
-def test_evaluate_tree_grid_mismatch():
-    tree = CsgTree(1, one_hot(UNION)[None, :])
-    a = DensityField(np.zeros(8), SampleGrid(4, 2, 4.0, 2.0))
-    b = DensityField(np.zeros(8), SampleGrid(2, 4, 2.0, 4.0))
-    with pytest.raises(ValueError):
-        evaluate_tree(tree, [a, b])
 
 
 def test_tree_backward_stacked_rows_equal_single_seed_calls():
@@ -288,7 +275,7 @@ def test_tree_backward_matches_fd():
             assert weight_grads[k, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
-# -- snapping and weights type ------------------------------------------------------
+# -- snapping and tree validation ---------------------------------------------------
 
 def test_snap_argmax_and_ties():
     assert np.array_equal(snap_to_onehot([0.1, 0.6, 0.2, 0.1]), one_hot(UNION))
@@ -298,33 +285,25 @@ def test_snap_argmax_and_ties():
         assert np.array_equal(snap_to_onehot(one_hot(op)), one_hot(op))
 
 
-def test_boolean_weights_validation():
-    BooleanWeights(0.25, 0.25, 0.25, 0.25)
-    with pytest.raises(ValueError):
-        BooleanWeights(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ValueError):
-        BooleanWeights(0.5, 0.4, 0.2, 0.1)
-
-
 def test_tree_frozen_validation():
     w = np.tile(one_hot(UNION), (3, 1))
     CsgTree(2, w, frozen={0: UNION})
     with pytest.raises(ValueError):
         CsgTree(2, w, frozen={0: DIFFERENCE})  # weights disagree with the lock
+    # the weight rows must lie on the simplex
+    with pytest.raises(ValueError):
+        CsgTree(1, np.array([[0.5, 0.5, 0.5, -0.5]]))
+    with pytest.raises(ValueError):
+        CsgTree(1, np.array([[0.5, 0.4, 0.2, 0.1]]))
 
 
 # -- pruning --------------------------------------------------------------------
-
-def grid_fields(*arrays):
-    grid = SampleGrid(len(arrays[0]), 1, float(len(arrays[0])), 1.0)
-    return [DensityField(np.asarray(a, dtype=float), grid) for a in arrays]
-
 
 def test_prune_union_identity():
     a = np.array([0.9, 0.8, 0.0, 0.0])
     empty = np.zeros(4)
     tree = CsgTree(1, one_hot(UNION)[None, :])
-    pruned = prune(tree, grid_fields(a, empty))
+    pruned = prune(tree, np.vstack([a, empty]))
     assert not pruned.is_empty
     assert pruned.root.is_leaf and pruned.root.primitive == 0
 
@@ -333,7 +312,7 @@ def test_prune_intersection_annihilates():
     a = np.array([0.9, 0.8, 0.0, 0.0])
     empty = np.zeros(4)
     tree = CsgTree(1, one_hot(INTERSECTION)[None, :])
-    pruned = prune(tree, grid_fields(a, empty))
+    pruned = prune(tree, np.vstack([a, empty]))
     assert pruned.is_empty
 
 
@@ -346,9 +325,9 @@ def test_prune_intersection_annihilates():
 def test_prune_rule_table(op, left_empty, expect):
     solid = np.array([0.9, 0.8, 0.7, 0.6])
     empty = np.zeros(4)
-    fields = grid_fields(empty, solid) if left_empty else grid_fields(solid, empty)
+    leaves = np.vstack([empty, solid] if left_empty else [solid, empty])
     tree = CsgTree(1, one_hot(op)[None, :])
-    pruned = prune(tree, fields)
+    pruned = prune(tree, leaves)
     if expect == "empty":
         assert pruned.is_empty
     else:
@@ -361,8 +340,7 @@ def test_prune_no_empty_nodes_is_noop():
     leaves = rng.uniform(0.3, 1.0, size=(4, 10))
     weights = np.vstack([one_hot(UNION), one_hot(INTERSECTION), one_hot(UNION)])
     tree = CsgTree(2, weights)
-    grid = SampleGrid(10, 1, 10.0, 1.0)
-    pruned = prune(tree, [DensityField(v, grid) for v in leaves])
+    pruned = prune(tree, leaves)
     nodes = pruned.nodes()
     assert sum(1 for n in nodes if n.is_leaf) == 4
     assert sum(1 for n in nodes if not n.is_leaf) == 3
@@ -371,13 +349,12 @@ def test_prune_no_empty_nodes_is_noop():
 def test_prune_requires_snapped():
     tree = CsgTree(1, np.full((1, 4), 0.25))
     with pytest.raises(ValueError):
-        prune(tree, grid_fields(np.zeros(4), np.zeros(4)))
+        prune(tree, np.zeros((2, 4)))
 
 
 def test_prune_fidelity_with_near_empty_leaves():
     # leaves peaking just under the threshold get dropped; the root field may
     # shift only by a small multiple of the threshold
-    from csgtopo.csg import evaluate_pruned_values
     rng = np.random.default_rng(8)
     eps = 0.01
     for _ in range(20):
@@ -388,12 +365,84 @@ def test_prune_fidelity_with_near_empty_leaves():
             if rng.random() < 0.5:
                 leaves[i] = rng.uniform(0.0, 0.5 * eps, size=30)
         tree = CsgTree(2, weights)
-        grid = SampleGrid(30, 1, 30.0, 1.0)
-        fields = [DensityField(v, grid) for v in leaves]
-        full = evaluate_tree(tree, fields).values
-        pruned = prune(tree, fields, eps)
+        full = np.clip(evaluate_tree_values(weights, leaves)[0], 0.0, 1.0)
+        pruned = prune(tree, leaves, eps)
         reduced = evaluate_pruned_values(pruned, leaves)
         assert np.abs(full - reduced).max() <= 2 * eps
+
+
+def _reference_prune_pass(node, leaf_values, eps):
+    # one sweep of the fixpoint prune, which re-evaluated each kept node's
+    # whole subtree from the leaves; None stands for empty
+    if node.is_leaf:
+        if float(leaf_values[node.primitive].max()) < eps:
+            return None, True
+        return node, False
+    left, changed_l = _reference_prune_pass(node.left, leaf_values, eps)
+    right, changed_r = _reference_prune_pass(node.right, leaf_values, eps)
+    changed = changed_l or changed_r
+    op = node.operator
+    if left is None and right is None:
+        return None, True
+    if left is None:
+        keep = op in (UNION, NEGATIVE_DIFFERENCE)
+        return (right, True) if keep else (None, True)
+    if right is None:
+        keep = op in (UNION, DIFFERENCE)
+        return (left, True) if keep else (None, True)
+    node.left, node.right = left, right
+    if float(evaluate_pruned_values(PrunedTree(node), leaf_values).max()) < eps:
+        return None, True
+    return node, changed
+
+
+def reference_prune(tree, leaf_values, eps):
+    # the full linked tree, swept until a sweep changes nothing
+    def build(k):
+        if k >= tree.n_internal:
+            return PrunedNode(primitive=k - tree.n_internal)
+        return PrunedNode(operator=int(np.argmax(tree.weights[k])),
+                          left=build(2 * k + 1), right=build(2 * k + 2))
+
+    root = build(0)
+    while root is not None:
+        root, changed = _reference_prune_pass(root, leaf_values, eps)
+        if not changed:
+            break
+    return PrunedTree(root)
+
+
+def pruned_structure(node):
+    if node is None:
+        return None
+    if node.is_leaf:
+        return node.primitive
+    return (node.operator, pruned_structure(node.left), pruned_structure(node.right))
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_one_pass_prune_equals_fixpoint_reference(depth):
+    # sparse leaves make intersections and differences of non-empty
+    # operands come out empty, so every rewrite rule gets exercised
+    rng = np.random.default_rng(100 + depth)
+    eps, n_cells = 0.01, 12
+    n_leaves = 2 ** depth
+    outcomes = set()
+    for _ in range(60):
+        weights = np.eye(4)[rng.integers(0, 4, size=n_leaves - 1)]
+        leaves = np.where(rng.random((n_leaves, n_cells)) < 0.4,
+                          rng.uniform(0.9, 1.0, (n_leaves, n_cells)), 0.0)
+        near_empty = rng.random(n_leaves) < 0.3
+        leaves[near_empty] = rng.uniform(0.0, 0.5 * eps, (near_empty.sum(), n_cells))
+        tree = CsgTree(depth, weights)
+        got = prune(tree, leaves, eps)
+        want = reference_prune(tree, leaves, eps)
+        assert pruned_structure(got.root) == pruned_structure(want.root)
+        assert evaluate_pruned_values(got, leaves).tobytes() \
+            == evaluate_pruned_values(want, leaves).tobytes()
+        outcomes.add("empty" if got.is_empty
+                     else "pruned" if len(got.nodes()) < 2 * n_leaves - 1 else "full")
+    assert {"empty", "pruned"} <= outcomes
 
 
 # -- agreement with exact Boolean rasterization --------------------------------------
@@ -406,9 +455,9 @@ def test_tree_matches_exact_boolean_oracle():
     polys = [PolygonParams(rng.uniform(10, 50), rng.uniform(5, 25),
                            rng.uniform(0, 2 * math.pi), rng.uniform(6, 15, size=6))
              for _ in range(4)]
-    tree = CsgTree(2, np.vstack([one_hot(op) for op in ops]))
-    fields = [rasterize_primitive(p, grid, cfg) for p in polys]
-    smooth = evaluate_tree(tree, fields).values > 0.5
+    weights = np.vstack([one_hot(op) for op in ops])
+    leaves = np.vstack([rasterize_primitive(p, grid, cfg).values for p in polys])
+    smooth = evaluate_tree_values(weights, leaves)[0] > 0.5
 
     pts = grid.points
     exact = [halfspace_sdfs(p, pts[:, 0], pts[:, 1]).max(axis=1) < 0 for p in polys]

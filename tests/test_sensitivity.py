@@ -5,7 +5,7 @@ import pytest
 
 from csgtopo import fea
 from csgtopo.problem import Model, ProblemSpec, initialize
-from csgtopo.sensitivity import central_difference, fd_check, grad_volume
+from csgtopo.sensitivity import FdEntry, central_difference, fd_check, grad_volume
 from conftest import connected_design
 
 
@@ -229,3 +229,14 @@ def test_fd_check_evaluates_each_entry_at_plus_then_minus_step(small_spec):
     for k, idx in enumerate([3, 7]):
         plus, minus = calls[1 + 2 * k][1], calls[2 + 2 * k][1]
         assert plus[idx] == z[idx] + h and minus[idx] == z[idx] - h
+
+
+@pytest.mark.parametrize("name", ["analytic_j", "fd_j", "analytic_g", "fd_g"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_fd_entry_never_passes(name, bad):
+    # relative errors formed as fd_check forms them
+    values = {"analytic_j": 1.0, "fd_j": 1.0, "analytic_g": 1.0, "fd_g": 1.0, name: bad}
+    rel = {f"rel_err_{k}": abs(values[f"analytic_{k}"] - values[f"fd_{k}"])
+           / max(abs(values[f"fd_{k}"]), 1e-300) for k in "jg"}
+    entry = FdEntry(index=0, label="cx[0]", **values, **rel)
+    assert entry.max_rel_err == np.inf
