@@ -44,7 +44,6 @@ SWEEP_PARAMS = ("vf_star", "tree_depth", "seed", "mesh")
 
 _SPEC_KEYS = {f.name for f in dataclasses.fields(ProblemSpec)}
 _MMA_KEYS = {f.name for f in dataclasses.fields(MmaConfig)}
-_BOUND_KEYS = ("cx_bounds", "cy_bounds", "theta_bounds", "d_bounds")
 
 
 # -- configuration -----------------------------------------------------------
@@ -73,55 +72,34 @@ def config_from_dict(doc: dict) -> ProblemSpec:
     else:
         kwargs["mma"] = MmaConfig()
 
-    if kwargs.get("frozen_operators"):
-        if not isinstance(kwargs["frozen_operators"], dict):
-            raise ConfigError("frozen_operators: expected an object mapping node to operator")
-        try:
-            kwargs["frozen_operators"] = {
-                int(k): str(v) for k, v in kwargs["frozen_operators"].items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"frozen_operators: {exc}") from exc
-    else:
-        kwargs["frozen_operators"] = {}
-
-    for key in _BOUND_KEYS:
-        if kwargs.get(key) is not None:
-            pair = kwargs[key]
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ConfigError(f"{key}: expected a [lo, hi] pair")
-            try:
-                kwargs[key] = (float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: expected a pair of numbers: {exc}") from exc
-
-    if kwargs.get("loads") is not None:
-        try:
-            kwargs["loads"] = [(int(d), float(v)) for d, v in kwargs["loads"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"loads: expected [dof, value] pairs: {exc}") from exc
-    if kwargs.get("fixed_dofs") is not None:
-        try:
-            kwargs["fixed_dofs"] = [int(d) for d in kwargs["fixed_dofs"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"fixed_dofs: expected a list of dofs: {exc}") from exc
-
+    frozen = {} if kwargs.get("frozen_operators") is None else kwargs["frozen_operators"]
+    if not isinstance(frozen, dict):
+        raise ConfigError("frozen_operators: expected an object mapping node to operator")
     try:
-        spec = ProblemSpec(**kwargs)
+        kwargs["frozen_operators"] = {int(k): v for k, v in frozen.items()}
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"frozen_operators: {exc}") from exc
+    if len(kwargs["frozen_operators"]) < len(frozen):
+        # JSON keys are strings, and "0" and "00" name the same node
+        raise ConfigError("frozen_operators: two keys name the same node")
+
+    spec = ProblemSpec(**kwargs)
     spec.validate()
     return spec
 
 
-def load_config(path) -> ProblemSpec:
+def _read_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-    return config_from_dict(doc)
+
+
+def load_config(path) -> ProblemSpec:
+    return config_from_dict(_read_json(path))
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
@@ -129,14 +107,13 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
     doc = dataclasses.asdict(spec)
     doc["mma"] = dataclasses.asdict(spec.mma)
     doc["frozen_operators"] = {str(k): v for k, v in spec.frozen_operators.items()}
-    for key in _BOUND_KEYS:
-        name = key[:-7]  # strip "_bounds"
-        doc[key] = list(spec.bounds()[name])
+    for name, (lo, hi) in spec.bounds().items():
+        doc[f"{name}_bounds"] = [float(lo), float(hi)]
     doc["lx"] = spec.domain_lx
     doc["ly"] = spec.domain_ly
     doc["emin"] = spec.resolved_emin
     if doc["loads"] is not None:
-        doc["loads"] = [[d, v] for d, v in doc["loads"]]
+        doc["loads"] = [[d, float(v)] for d, v in doc["loads"]]
     return doc
 
 
@@ -159,20 +136,20 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_history(path: Path, history) -> None:
-    lines = ["iter,J,g_v,kkt,step"]
-    for r in history:
-        lines.append(",".join([str(r.iteration), _fmt(r.J), _fmt(r.g_v),
-                               _fmt(r.kkt), _fmt(r.step)]))
+def _records_csv(path: Path, history, columns: tuple[str, ...]) -> None:
+    """One line per iteration record: its number, then the named fields."""
+    lines = [",".join(["iter", *columns])]
+    lines.extend(",".join([str(r.iteration), *(_fmt(getattr(r, c)) for c in columns)])
+                 for r in history)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_history(path: Path, history) -> None:
+    _records_csv(path, history, ("J", "g_v", "kkt", "step"))
 
 
 def write_timings(path: Path, history) -> None:
-    lines = ["iter,t_projection,t_tree,t_fea_sens,t_total"]
-    for r in history:
-        lines.append(",".join([str(r.iteration), _fmt(r.t_projection),
-                               _fmt(r.t_tree), _fmt(r.t_fea_sens), _fmt(r.t_total)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _records_csv(path, history, ("t_projection", "t_tree", "t_fea_sens", "t_total"))
 
 
 def write_design_csv(path: Path, field) -> None:
@@ -215,25 +192,17 @@ def _tree_nodes(result: OptimizeResult) -> list[dict]:
 
 
 def _pruned_nodes(result: OptimizeResult) -> list[dict] | None:
+    """Preorder: node ids are positions in PrunedTree.nodes()."""
     pruned = result.pruned_tree
     if pruned.is_empty:
         return None
-    nodes = []
-
-    def visit(node) -> int:
-        nid = len(nodes)
-        nodes.append(None)  # reserve slot so ids follow preorder
-        if node.is_leaf:
-            nodes[nid] = _leaf_node(result, nid, node.primitive)
-        else:
-            left = visit(node.left)
-            right = visit(node.right)
-            nodes[nid] = {"id": nid, "kind": "internal", "children": [left, right],
-                          "operator": csg.OPERATOR_NAMES[node.operator]}
-        return nid
-
-    visit(pruned.root)
-    return nodes
+    order = pruned.nodes()
+    ids = {id(node): nid for nid, node in enumerate(order)}
+    return [_leaf_node(result, nid, node.primitive) if node.is_leaf else
+            {"id": nid, "kind": "internal",
+             "children": [ids[id(node.left)], ids[id(node.right)]],
+             "operator": csg.OPERATOR_NAMES[node.operator]}
+            for nid, node in enumerate(order)]
 
 
 def write_tree_json(path: Path, result: OptimizeResult) -> None:
@@ -245,7 +214,8 @@ def write_tree_json(path: Path, result: OptimizeResult) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_summary(path: Path, result: OptimizeResult) -> None:
+def write_summary(path: Path, result: OptimizeResult) -> dict:
+    """Write summary.json; returns the document written."""
     doc = {
         "J_relaxed": result.J,
         "J_snapped": result.J_snapped,
@@ -256,6 +226,7 @@ def write_summary(path: Path, result: OptimizeResult) -> None:
         "empty_design": result.empty_design,
     }
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc
 
 
 def write_config(path: Path, spec: ProblemSpec) -> None:
@@ -277,10 +248,10 @@ def execute_run(spec: ProblemSpec, outdir: Path) -> dict:
     write_design_csv(outdir / "design.csv", result.field_snapped)
     write_design_pgm(outdir / "design.pgm", result.field_snapped)
     write_tree_json(outdir / "tree.json", result)
-    write_summary(outdir / "summary.json", result)
+    summary = write_summary(outdir / "summary.json", result)
     if result.empty_design:
         log.warning("final design is empty after pruning")
-    return json.loads((outdir / "summary.json").read_text())
+    return summary
 
 
 # -- subcommands -------------------------------------------------------------
@@ -306,9 +277,9 @@ def cmd_run(args) -> int:
 
 def cmd_check_grad(args) -> int:
     try:
-        if args.step is not None and args.step <= 0:
-            raise ConfigError(f"step: must be positive, got {args.step}")
-        if args.entries is not None and args.entries < 1:
+        if not 0 < args.step < float("inf"):
+            raise ConfigError(f"step: must be positive and finite, got {args.step}")
+        if args.entries < 1:
             raise ConfigError(f"entries: must be >= 1, got {args.entries}")
         spec = load_config(args.config)
         model = Model(spec)
@@ -316,16 +287,11 @@ def cmd_check_grad(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    z = initialize(spec)
-    step = args.step if args.step is not None else 1e-6
-
     try:
-        entries = sensitivity.fd_check(model, z, step=step)
+        entries = sensitivity.fd_check(model, initialize(spec), step=args.step)
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-
-    n_show = args.entries if args.entries is not None else 10
 
     def rel_col(rel: float, fd: float) -> str:
         # below the FD floor the quotient is difference noise, not an error
@@ -333,19 +299,14 @@ def cmd_check_grad(args) -> int:
 
     print(f"{'index':>6} {'label':>12} {'kind':>4} {'analytic':>24} "
           f"{'fd':>24} {'rel_err':>12}")
-    shown = 0
-    for e in entries:
-        if shown >= n_show:
-            break
+    for e in entries[:args.entries]:
         if e.skipped:
             print(f"{e.index:>6} {e.label:>12} frozen entry: skipped")
-            shown += 1
             continue
         print(f"{e.index:>6} {e.label:>12} {'J':>4} {e.analytic_j:>24.16e} "
               f"{e.fd_j:>24.16e} {rel_col(e.rel_err_j, e.fd_j)}")
         print(f"{'':>6} {'':>12} {'g_v':>4} {e.analytic_g:>24.16e} "
               f"{e.fd_g:>24.16e} {rel_col(e.rel_err_g, e.fd_g)}")
-        shown += 1
 
     checked = [e for e in entries if not e.skipped]
     worst = max((e.max_rel_err for e in checked), default=0.0)
@@ -354,9 +315,6 @@ def cmd_check_grad(args) -> int:
 
 
 def _apply_sweep_value(doc: dict, param: str, token: str) -> dict:
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(
-            f"param: unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
     doc = dict(doc)
     try:
         if param == "mesh":
@@ -377,8 +335,7 @@ def _sweep_one(doc: dict, outdir_str: str) -> dict:
 
 def cmd_sweep(args) -> int:
     try:
-        with open(args.config) as fh:
-            base_doc = json.load(fh)
+        base_doc = _read_json(args.config)
         config_from_dict(base_doc)  # validate before launching anything
         tokens = [tok for tok in args.values.split(",") if tok]
         if not tokens:
@@ -388,9 +345,6 @@ def cmd_sweep(args) -> int:
             doc = _apply_sweep_value(base_doc, args.param, tok)
             config_from_dict(doc)
             jobs.append((tok, doc, Path(args.out) / f"{args.param}={tok}"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -445,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("check-grad", help="verify gradients by finite differences")
     grad.add_argument("--config", required=True)
-    grad.add_argument("--entries", type=int, default=None,
+    grad.add_argument("--entries", type=int, default=10,
                       help="number of worst rows to print (default 10)")
-    grad.add_argument("--step", type=float, default=None,
+    grad.add_argument("--step", type=float, default=1e-6,
                       help="central difference step (default 1e-6)")
     grad.set_defaults(func=cmd_check_grad)
 

@@ -135,8 +135,9 @@ class CsgTree:
         if w.shape != (self.n_internal, 4):
             raise ValueError(
                 f"expected weights of shape ({self.n_internal}, 4), got {w.shape}")
-        if (w < -_SIMPLEX_TOL).any() or (w > 1.0 + _SIMPLEX_TOL).any() \
-                or (np.abs(w.sum(axis=1) - 1.0) > _SIMPLEX_TOL).any():
+        # written so that any comparison with NaN fails the check
+        if not ((w >= -_SIMPLEX_TOL).all() and (w <= 1.0 + _SIMPLEX_TOL).all()
+                and (np.abs(w.sum(axis=1) - 1.0) <= _SIMPLEX_TOL).all()):
             raise ValueError("every weight row must lie on the simplex")
         for node, op in self.frozen.items():
             if not 0 <= node < self.n_internal:

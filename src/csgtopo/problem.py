@@ -66,6 +66,14 @@ class SolverAbort(RuntimeError):
         return (SolverAbort, (self.args[0], self.history, self.z, self.iteration))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ProblemSpec:
     """Full configuration of one optimization run.
@@ -127,7 +135,7 @@ class ProblemSpec:
 
     @property
     def frozen_indices(self) -> dict[int, int]:
-        return {int(k): csg.operator_index(v) for k, v in self.frozen_operators.items()}
+        return {k: csg.operator_index(v) for k, v in self.frozen_operators.items()}
 
     @property
     def n_free_operators(self) -> int:
@@ -158,16 +166,29 @@ class ProblemSpec:
         # any comparison below can raise a bare TypeError
         for name in ("nx", "ny", "tree_depth", "sides", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 fail(name, f"must be an integer, got {value!r}")
         for name in ("lx", "ly", "e0", "emin", "penalty", "nu", "vf_star", "gamma",
                      "beta", "lse_scale", "softmax_scale"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)):
+            if value is not None and not _is_real(value):
                 fail(name, f"must be a number, got {value!r}")
             if value is not None and not math.isfinite(value):
                 fail(name, f"must be finite, got {value!r}")
+        for name in ("cx_bounds", "cy_bounds", "theta_bounds", "d_bounds"):
+            pair = getattr(self, name)
+            if pair is not None and not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                                         and all(_is_real(v) and math.isfinite(v)
+                                                 for v in pair)):
+                fail(name, f"expected a [lo, hi] pair of finite numbers, got {pair!r}")
+        if self.fixed_dofs is not None and not (isinstance(self.fixed_dofs, (list, tuple))
+                                                and all(map(_is_int, self.fixed_dofs))):
+            fail("fixed_dofs", f"expected a list of integer dofs, got {self.fixed_dofs!r}")
+        if self.loads is not None and not (isinstance(self.loads, (list, tuple)) and all(
+                isinstance(load, (list, tuple)) and len(load) == 2 and _is_int(load[0])
+                and _is_real(load[1]) and math.isfinite(load[1]) for load in self.loads)):
+            fail("loads", "expected [dof, value] pairs of an integer and a finite "
+                 f"number, got {self.loads!r}")
         if self.seed < 0:
             fail("seed", f"must be >= 0, got {self.seed}")
         if self.nx < 1 or self.ny < 1:
@@ -201,12 +222,11 @@ class ProblemSpec:
                 fail(name, f"must be positive, got {getattr(self, name)}")
         for name, pair in self.bounds().items():
             lo, hi = pair
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                fail(f"{name}_bounds", f"bounds must be finite, got {pair}")
             if not lo < hi:
                 fail(f"{name}_bounds", f"lower bound must be below upper, got {pair}")
         for node, op in self.frozen_operators.items():
-            node = int(node)
+            if not _is_int(node):
+                fail("frozen_operators", f"node {node!r} is not an integer")
             if not 0 <= node < self.n_operators:
                 fail("frozen_operators",
                      f"node {node} out of range for depth {self.tree_depth}")
@@ -231,9 +251,8 @@ class ProblemSpec:
                 for dof in dofs:
                     if not 0 <= dof < ndof:
                         fail(name, f"dof {dof} out of range [0, {ndof})")
-            for dof, value in self.loads:
-                if not math.isfinite(value):
-                    fail("loads", f"load {value!r} at dof {dof} is not finite")
+            if all(value == 0 for _, value in self.loads):
+                fail("loads", "every load value is zero, so the compliance is zero")
             dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})
             if dups:
                 fail("loads", f"dof {dups[0]} is loaded more than once")

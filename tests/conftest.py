@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as bench/run.py sets: on a small host the default thread
+# pool slows the many small solves down; BLAS reads these when numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import hypothesis
 import numpy as np
 import pytest

@@ -113,6 +113,19 @@ def test_effective_config_round_trips(tmp_path):
     ({"d_bounds": [0.0, float("inf")]}, [], "d_bounds"),
     ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, float("inf")]]}, [],
      "loads"),
+    ({"benchmark": None, "fixed_dofs": [0, 5.7], "loads": [[13, -1.0]]}, [], "fixed_dofs"),
+    ({"benchmark": None, "fixed_dofs": [0, True], "loads": [[13, -1.0]]}, [],
+     "fixed_dofs"),
+    ({"benchmark": None, "fixed_dofs": ["0", 1], "loads": [[13, -1.0]]}, [],
+     "fixed_dofs"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [["20", "-1"]]}, [], "loads"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[20.9, -1]]}, [], "loads"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, True]]}, [], "loads"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, 0.0], [15, -0.0]]}, [],
+     "loads"),
+    ({"cx_bounds": ["1", "2"]}, [], "cx_bounds"),
+    ({"frozen_operators": {"0": "union", "00": "difference"}}, [], "frozen_operators"),
+    ({"frozen_operators": []}, [], "frozen_operators"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
     # a mistyped or non-finite value exits 1 with an error naming its field
@@ -256,6 +269,13 @@ def test_check_grad_rejects_zero_step(tmp_path):
     assert main(["check-grad", "--config", str(cfg), "--step", "0"]) == 1
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_check_grad_rejects_non_finite_step(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, GRAD_CHECK)
+    assert main(["check-grad", "--config", str(cfg), "--step", step]) == 1
+    assert capsys.readouterr().err.startswith("error: step: ")
+
+
 def test_check_grad_solver_failure_exit_code(tmp_path):
     doc = {**QUICK, "benchmark": None, "fixed_dofs": [0], "loads": [[13, -1.0]]}
     cfg = write_config(tmp_path, doc)
@@ -347,6 +367,41 @@ def test_sweep_rejects_non_numeric_value(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
                  "--values", "0.4,abc", "--out", str(tmp_path / "s")]) == 1
     assert "vf_star" in capsys.readouterr().err
+
+
+def test_tree_document_pruned_nodes_of_a_non_perfect_tree(tmp_path):
+    # ids follow preorder and children point at them, whatever the tree's shape
+    from csgtopo.cli import write_tree_json
+    from csgtopo.csg import (DIFFERENCE, NEGATIVE_DIFFERENCE, UNION, PrunedNode,
+                             PrunedTree)
+    from csgtopo.problem import ProblemSpec, optimize
+    from csgtopo.mma import MmaConfig
+
+    result = optimize(ProblemSpec(nx=8, ny=4, tree_depth=2, sides=4,
+                                  mma=MmaConfig(max_iter=2)))
+    inner = PrunedNode(operator=NEGATIVE_DIFFERENCE, left=PrunedNode(primitive=0),
+                       right=PrunedNode(primitive=3))
+    left = PrunedNode(operator=DIFFERENCE, left=PrunedNode(primitive=1), right=inner)
+    result.pruned_tree = PrunedTree(PrunedNode(operator=UNION, left=left,
+                                               right=PrunedNode(primitive=2)))
+    write_tree_json(tmp_path / "tree.json", result)
+    pruned = json.loads((tmp_path / "tree.json").read_text())["pruned"]
+    assert pruned["empty"] is False
+    nodes = pruned["nodes"]
+    assert [n["id"] for n in nodes] == list(range(7))
+    assert [n["kind"] for n in nodes] == ["internal", "internal", "leaf", "internal",
+                                          "leaf", "leaf", "leaf"]
+    internal = {n["id"]: (n["children"], n["operator"]) for n in nodes
+                if n["kind"] == "internal"}
+    assert internal == {0: ([1, 6], "union"), 1: ([2, 3], "difference"),
+                        3: ([4, 5], "negative_difference")}
+    leaves = {n["id"]: n["primitive"] for n in nodes if n["kind"] == "leaf"}
+    assert leaves == {2: 1, 4: 0, 5: 3, 6: 2}
+    for n in nodes:
+        if n["kind"] == "leaf":
+            p = result.params[n["primitive"]]
+            assert n["params"] == {"cx": p.cx, "cy": p.cy, "theta": p.theta,
+                                   "d": list(p.d)}
 
 
 def test_tree_document_handles_empty_design(tmp_path):

@@ -297,6 +297,13 @@ def test_tree_frozen_validation():
         CsgTree(1, np.array([[0.5, 0.4, 0.2, 0.1]]))
 
 
+@pytest.mark.parametrize("row", [[np.nan] * 4, [np.nan, 0.5, 0.5, 0.0]])
+def test_tree_rejects_nan_weights(row):
+    # snapped() would turn an all-NaN row into an intersection
+    with pytest.raises(ValueError):
+        CsgTree(1, np.array([row]))
+
+
 # -- pruning --------------------------------------------------------------------
 
 def test_prune_union_identity():
