@@ -25,6 +25,7 @@ __all__ = [
     "simp_modulus",
     "element_stiffness_template",
     "FreePattern",
+    "BandLayout",
     "BandedCholesky",
     "assemble",
     "reduce_system",
@@ -111,19 +112,44 @@ class Mesh:
         return self._patterns[key]
 
 
+@dataclass(frozen=True, eq=False)
+class BandLayout:
+    """Where the lower triangle of a symmetric CSC matrix lands in band storage.
+
+    The band is LAPACK lower-band storage in Fortran order, rows = kd + 1
+    by n, kd being the half-bandwidth: CSC entry lower[k], at row r of
+    column c, goes to flat position positions[k] = (r - c) + c * rows.
+    """
+
+    lower: np.ndarray       # CSC entries on or below the diagonal
+    rows: int
+    positions: np.ndarray
+
+    @classmethod
+    def of(cls, indptr: np.ndarray, indices: np.ndarray) -> "BandLayout":
+        cols = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        offsets = indices - cols
+        lower = np.flatnonzero(offsets >= 0)
+        rows = int(offsets.max(initial=0)) + 1
+        return cls(lower, rows, offsets[lower] + cols[lower] * rows)
+
+
 @dataclass(eq=False)
 class FreePattern:
     """Sparsity of the free-dof stiffness and where each element entry lands.
 
     Entry t of the flattened (n_elements, 8, 8) element stack adds to
     position scatter[t] of the CSC data; entries on a fixed dof point one
-    past the end, into a slot that is dropped.
+    past the end, into a slot that is dropped.  band is the layout of the
+    factorization's band storage, the same for every stiffness on this
+    pattern.
     """
 
     free: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     scatter: np.ndarray
+    band: BandLayout
 
     @classmethod
     def build(cls, element_dofs: np.ndarray, ndof: int, fixed: np.ndarray) -> "FreePattern":
@@ -140,7 +166,8 @@ class FreePattern:
         full_scatter[keep] = scatter
         indptr = np.zeros(free.size + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // free.size, minlength=free.size), out=indptr[1:])
-        return cls(free, indptr, (keys % free.size).astype(np.int32), full_scatter)
+        indices = (keys % free.size).astype(np.int32)
+        return cls(free, indptr, indices, full_scatter, BandLayout.of(indptr, indices))
 
 
 @dataclass(frozen=True)
@@ -279,20 +306,22 @@ def _singular_diagnostic(K: sp.csc_matrix) -> str:
 class BandedCholesky:
     """Cholesky factor of a symmetric positive definite K in LAPACK band storage.
 
-    The lower triangle of K is copied into (kd + 1, n) lower-band storage,
-    kd being its half-bandwidth: 2 (ny + 1) + 3 for a mesh stiffness under
-    the column-wise numbering.  Raises LinAlgError when K is not positive
-    definite.
+    The lower triangle of K is copied into a freshly zeroed (kd + 1, n)
+    lower band in Fortran order, kd being its half-bandwidth: 2 (ny + 1) + 3
+    for a mesh stiffness under the column-wise numbering.  LAPACK factors
+    that band in place, with no copy on the way in or out.  layout is
+    computed from K when not given.  Raises LinAlgError when K is not
+    positive definite.
     """
 
-    def __init__(self, K: sp.csc_matrix):
+    def __init__(self, K: sp.csc_matrix, layout: BandLayout | None = None):
+        if layout is None:
+            layout = BandLayout.of(K.indptr, K.indices)
         n = K.shape[0]
-        cols = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
-        offsets = K.indices - cols
-        lower = offsets >= 0
-        band = np.zeros((int(offsets.max(initial=0)) + 1, n))
-        band.ravel()[(offsets * n + cols)[lower]] = K.data[lower]
-        self.factor = cholesky_banded(band, lower=True, check_finite=False)
+        band = np.zeros(layout.rows * n)
+        band[layout.positions] = K.data[layout.lower]
+        self.factor = cholesky_banded(band.reshape((layout.rows, n), order="F"),
+                                      overwrite_ab=True, lower=True, check_finite=False)
 
     @property
     def nnz(self) -> int:
@@ -303,14 +332,14 @@ class BandedCholesky:
         return cho_solve_banded((self.factor, True), b, check_finite=False)
 
 
-def splu(K: sp.csc_matrix) -> BandedCholesky:
+def splu(K: sp.csc_matrix, layout: BandLayout | None = None) -> BandedCholesky:
     """Factorize K by banded Cholesky.
 
     Not an LU: the name is kept because the fea.factorize hook of the
     benchmark (bench/tracing.py) patches fea.splu, and solve calls the
     factorization through this name.
     """
-    return BandedCholesky(K)
+    return BandedCholesky(K, layout)
 
 
 def _residual_extended(K: sp.csc_matrix, u: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -324,7 +353,7 @@ def _residual_extended(K: sp.csc_matrix, u: np.ndarray, f: np.ndarray) -> np.nda
     return (f - np.add.reduceat(products, K.indptr[:-1])).astype(float)
 
 
-def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
+def solve(K: sp.spmatrix, f: np.ndarray, layout: BandLayout | None = None) -> SolveResult:
     """Direct solve of Ku = f for symmetric positive definite K, J = f.u.
 
     A banded Cholesky solve is followed by one correction step u += K^-1 r
@@ -334,7 +363,8 @@ def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
     |Ku - f| / |f| is computed in float64.  A factorization that finds K
     not positive definite, a non-finite solution, or a residual above the
     abort threshold marks a singular system (missing constraints) and
-    raises SingularSystemError.
+    raises SingularSystemError.  layout is K's band layout; analyze passes
+    the one its FreePattern keeps, and without one it is computed from K.
     """
     f = np.asarray(f, dtype=float).ravel()
     K = K.tocsc()
@@ -344,7 +374,7 @@ def solve(K: sp.spmatrix, f: np.ndarray) -> SolveResult:
     if fnorm == 0.0:
         return SolveResult(u=np.zeros_like(f), J=0.0, residual=0.0)
     try:
-        factor = splu(K)
+        factor = splu(K, layout)
     except LinAlgError as exc:
         raise SingularSystemError(_singular_diagnostic(K)) from exc
     u = factor.solve(f)
@@ -365,10 +395,10 @@ def analyze(field_values, mesh: Mesh, material: Material,
             k0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Assemble on the free dofs, solve; returns full-length displacements and J."""
     K = assemble(field_values, mesh, material, k0, bcs.fixed_dofs)
-    free = mesh.free_pattern(bcs.fixed_dofs).free
-    result = solve(K, load_vector(bcs, mesh.ndof)[free])
+    pattern = mesh.free_pattern(bcs.fixed_dofs)
+    result = solve(K, load_vector(bcs, mesh.ndof)[pattern.free], pattern.band)
     u = np.zeros(mesh.ndof)
-    u[free] = result.u
+    u[pattern.free] = result.u
     return u, result.J
 
 

@@ -317,6 +317,9 @@ class Model:
         self.n = spec.design_size
         self.full_size = spec.full_size
         self.full_to_free = self._build_index_map()
+        # evaluate's projected primitives: parameter rows and their leaf fields
+        self._leaf_rows: np.ndarray | None = None
+        self._leaf_fields: np.ndarray | None = None
 
     # -- design-vector layout ----------------------------------------------
 
@@ -347,27 +350,31 @@ class Model:
         rest = idx - n_p * (s + 3)
         return f"b[{rest // 4}][{rest % 4}]"
 
-    def denormalize(self, z: np.ndarray) -> tuple[list[geometry.PolygonParams], np.ndarray]:
-        """Map z to polygon parameters and operator weights (frozen injected)."""
+    def _denormalize_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map z to (n_p, 3 + S) rows cx, cy, theta, d[0..S-1] and operator weights."""
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ValueError(f"design vector has {z.size} entries, expected {self.n}")
         spec = self.spec
         n_p, s = spec.n_primitives, spec.sides
-        (cx_lo, _), (cy_lo, _) = self.bounds["cx"], self.bounds["cy"]
-        (th_lo, _), (d_lo, _) = self.bounds["theta"], self.bounds["d"]
-        cx = cx_lo + self.scales["cx"] * z[:n_p]
-        cy = cy_lo + self.scales["cy"] * z[n_p:2 * n_p]
-        th = th_lo + self.scales["theta"] * z[2 * n_p:3 * n_p]
-        d = d_lo + self.scales["d"] * z[3 * n_p:3 * n_p + n_p * s].reshape(n_p, s)
-        params = [geometry.PolygonParams(cx[i], cy[i], th[i], d[i]) for i in range(n_p)]
+        rows = np.empty((n_p, 3 + s))
+        for col, name in enumerate(("cx", "cy", "theta")):
+            rows[:, col] = (self.bounds[name][0]
+                            + self.scales[name] * z[col * n_p:(col + 1) * n_p])
+        rows[:, 3:] = (self.bounds["d"][0]
+                       + self.scales["d"] * z[3 * n_p:n_p * (s + 3)].reshape(n_p, s))
 
         weights = np.empty((spec.n_operators, 4))
         weights[self.free_nodes] = csg.softmax_encode(z[n_p * (s + 3):].reshape(-1, 4),
                                                       spec.softmax_scale)
         for node, op in self.frozen.items():
             weights[node] = csg.one_hot(op)
-        return params, weights
+        return rows, weights
+
+    def denormalize(self, z: np.ndarray) -> tuple[list[geometry.PolygonParams], np.ndarray]:
+        """Map z to polygon parameters and operator weights (frozen injected)."""
+        rows, weights = self._denormalize_rows(z)
+        return [geometry.PolygonParams(*row[:3], row[3:]) for row in rows], weights
 
     def normalize_params(self, params) -> np.ndarray:
         """Inverse affine map of the geometry blocks (testing aid)."""
@@ -423,10 +430,37 @@ class Model:
                          (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
         return out[0], out[1]
 
+    def _solve_leaves(self, weights: np.ndarray,
+                      leaf_values: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Clipped root field, J and g_v of the tree over the given leaf fields."""
+        root = np.clip(csg.evaluate_tree_values(weights, leaf_values)[0], 0.0, 1.0)
+        _, j_val = fea.analyze(root, self.mesh, self.material, self.bcs, self.k0)
+        return root, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
+
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
-        """(J, g_v) only; used by finite differencing."""
-        state = self.forward(z)
-        return state.J, state.g_v
+        """(J, g_v) only; used by finite differencing.
+
+        A primitive's field depends only on its own row (cx, cy, theta, d),
+        so the leaf fields of the previous call are kept and only the
+        primitives whose row differs from it, bit for bit, are projected
+        again: one for a geometry entry of a central difference, none for
+        an operator entry.  A row is stored only after its field is, so a
+        call that raises leaves rows and fields matching.
+        """
+        rows, weights = self._denormalize_rows(z)
+        known = self._leaf_rows
+        changed = (np.arange(len(rows)) if known is None else np.flatnonzero(
+            (rows.view(np.int64) != known.view(np.int64)).any(axis=1)))
+        if changed.size:
+            params = [geometry.PolygonParams(*rows[i, :3], rows[i, 3:]) for i in changed]
+            fields = geometry.rasterize_with_tape(params, self.grid, self.cfg)[0]
+            if known is None:
+                self._leaf_fields, self._leaf_rows = fields, rows
+            else:
+                self._leaf_fields[changed] = fields
+                known[changed] = rows[changed]
+        _, j_val, g_v = self._solve_leaves(weights, self._leaf_fields)
+        return j_val, g_v
 
     def forward_gradients(self, z: np.ndarray):
         """(J, g_v, dJ/dz, dg_v/dz) in one pass."""
@@ -549,13 +583,10 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
     leaf_values = geometry.rasterize_with_tape(params, model.grid, model.cfg)[0]
 
     def solve_tree(t: csg.CsgTree):
-        values = csg.evaluate_tree_values(t.weights, leaf_values)
-        root = np.clip(values[0], 0.0, 1.0)
         try:
-            _, j_val = fea.analyze(root, model.mesh, model.material, model.bcs, model.k0)
+            root, j_val, g_v = model._solve_leaves(t.weights, leaf_values)
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
-        g_v = fea.volume_constraint(root, spec.vf_star, model.mesh)
         return geometry.DensityField(root, model.grid), j_val, g_v
 
     field, j_relaxed, g_relaxed = solve_tree(tree)

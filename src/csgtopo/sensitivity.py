@@ -121,20 +121,22 @@ def _rel_err(analytic: float, fd: float) -> float:
 def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdEntry]:
     """Compare analytic dJ/dz and dg_v/dz against central differences.
 
-    indices address the full design layout including frozen operator slots;
-    frozen entries come back marked skipped.  The report is sorted worst
-    first.  model must offer evaluate(z) -> (J, g), forward_gradients(z) ->
-    (J, g, dJ, dg), full_size, full_to_free and label_for_index.
+    indices address the full design layout including frozen operator slots,
+    each in [0, full_size); frozen entries come back marked skipped.  The
+    report is sorted worst first.  model must offer evaluate(z) -> (J, g),
+    forward_gradients(z) -> (J, g, dJ, dg), full_size, full_to_free and
+    label_for_index.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    indices = range(model.full_size) if indices is None else [int(i) for i in indices]
+    for idx in indices:
+        if not 0 <= idx < model.full_size:
+            raise ValueError(f"index {idx} out of range [0, {model.full_size})")
     _, _, dj, dg = model.forward_gradients(z)
-    if indices is None:
-        indices = range(model.full_size)
 
     entries = []
     for idx in indices:
-        idx = int(idx)
         label = model.label_for_index(idx)
         free = model.full_to_free[idx]
         if free < 0:

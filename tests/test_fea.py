@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
-from csgtopo.fea import (BoundaryConditions, Material, Mesh, SingularSystemError,
-                         analyze, assemble, element_energies,
+from csgtopo.fea import (BandLayout, BoundaryConditions, Material, Mesh,
+                         SingularSystemError, analyze, assemble, element_energies,
                          element_stiffness_template, load_vector, reduce_system,
                          simp_modulus, solve, splu, volume_constraint)
 from csgtopo.problem import builtin_problem
@@ -254,6 +255,49 @@ def test_banded_solve_matches_dense_oracle(case):
     u_full, j_full = analyze(rho, mesh, Material(), bcs)
     assert j_full == res.J
     assert np.array_equal(u_full[mesh.free_pattern(bcs.fixed_dofs).free], res.u)
+
+
+def c_order_band(K) -> np.ndarray:
+    """K's lower band in C order, built entry by entry from its CSC arrays."""
+    n = K.shape[0]
+    cols = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
+    offsets = K.indices - cols
+    lower = offsets >= 0
+    band = np.zeros((int(offsets.max(initial=0)) + 1, n))
+    band.ravel()[(offsets * n + cols)[lower]] = K.data[lower]
+    return band
+
+
+@pytest.mark.parametrize("case", sorted(FREE_DOF_CASES))
+def test_banded_factor_equals_c_order_band_factor(case):
+    mesh, bcs, _, K_free, K_red, _ = free_dof_system(case)
+    want = cholesky_banded(c_order_band(K_free), lower=True, check_finite=False)
+    assert np.array_equal(splu(K_free).factor, want)
+    assert np.array_equal(splu(K_free, mesh.free_pattern(bcs.fixed_dofs).band).factor, want)
+    assert np.array_equal(splu(K_red).factor,
+                          cholesky_banded(c_order_band(K_red), lower=True,
+                                          check_finite=False))
+
+
+@pytest.mark.parametrize("case", sorted(FREE_DOF_CASES))
+def test_free_pattern_band_layout_equals_reduced_matrix_layout(case):
+    mesh, bcs, _, _, K_red, _ = free_dof_system(case)
+    got = mesh.free_pattern(bcs.fixed_dofs).band
+    want = BandLayout.of(K_red.indptr, K_red.indices)
+    assert got.rows == want.rows
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.positions, want.positions)
+
+
+def test_repeated_analyze_on_one_mesh_equals_fresh_meshes():
+    # nothing of one factorization carries over into the next
+    bcs = builtin_problem("mbb", 16, 8)
+    mesh = Mesh(16, 8, 16.0, 8.0)
+    rng = np.random.default_rng(9)
+    for rho in (rng.random(mesh.n_elements), rng.random(mesh.n_elements)):
+        _, j_reused = analyze(rho, mesh, Material(), bcs)
+        _, j_fresh = analyze(rho, Mesh(16, 8, 16.0, 8.0), Material(), bcs)
+        assert j_reused == j_fresh
 
 
 def test_free_pattern_cached_per_fixed_set():

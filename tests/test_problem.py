@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csgtopo import fea
+from csgtopo import fea, geometry
 from csgtopo.csg import one_hot, softmax_encode
 from csgtopo.mma import MmaConfig
 from csgtopo.problem import (MAX_TAPE_DOUBLES, ConfigError, Model, ProblemSpec,
@@ -215,6 +215,95 @@ def test_benchmarks_are_well_posed(name, mesh):
 def test_unknown_benchmark_lists_valid_names():
     with pytest.raises(ConfigError, match="mbb"):
         builtin_problem("bridge", 10, 5)
+
+
+# -- forward-only evaluation -------------------------------------------------------
+
+# sides 3, 6 and 8, depths 1-3, frozen nodes, lx != nx and a custom BC set
+EVALUATE_CONFIGS = {
+    "d1_s3": dict(nx=12, ny=6, tree_depth=1, sides=3),
+    "d2_s6_frozen": dict(nx=12, ny=6, tree_depth=2, sides=6,
+                         frozen_operators={0: "union"}),
+    "d3_s8_frozen_stretched": dict(nx=10, ny=5, lx=20.0, ly=5.0, tree_depth=3, sides=8,
+                                   frozen_operators={1: "difference", 4: "intersection"}),
+    # rollers along the bottom edge, pinned in x at the lower-left node
+    "d2_s4_custom_bcs": dict(nx=10, ny=4, tree_depth=2, sides=4, benchmark=None,
+                             fixed_dofs=[0] + [10 * i + 1 for i in range(11)],
+                             loads=[[39, -1.0], [108, 0.5]]),
+}
+
+
+def moved(z: np.ndarray, index: int, h: float = 1e-6) -> np.ndarray:
+    out = np.array(z)
+    out[index] += h
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE_CONFIGS))
+def test_evaluate_equals_forward_bit_for_bit(name):
+    # a walk like a finite-difference pass: one cx moved, one d[i][j], one
+    # operator entry, the same design twice, a fresh design, and back
+    model = Model(ProblemSpec(**EVALUATE_CONFIGS[name]))
+    n_p, s = model.spec.n_primitives, model.spec.sides
+    rng = np.random.default_rng(5)
+    z0 = rng.random(model.n)
+    walk = [z0, moved(z0, n_p - 1)]
+    walk.append(moved(walk[-1], 3 * n_p + (n_p // 2) * s + s - 1))
+    walk.append(moved(walk[-1], model.n - 1))
+    walk += [np.array(walk[-1]), rng.random(model.n), z0]
+    for z in walk:
+        state = model.forward(z)
+        assert model.evaluate(z) == (state.J, state.g_v)
+
+
+def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
+    model = Model(quick_spec())
+    n_p, s = model.spec.n_primitives, model.spec.sides
+    z = initialize(model.spec)
+    model.evaluate(z)
+    projected = []
+    original = geometry.rasterize_with_tape
+
+    def rasterize(params, grid, cfg):
+        projected.append(list(params))
+        return original(params, grid, cfg)
+
+    monkeypatch.setattr(geometry, "rasterize_with_tape", rasterize)
+    i, j = 2, 1
+    z_d = moved(z, 3 * n_p + i * s + j)
+    model.evaluate(z_d)
+    assert len(projected) == 1 and len(projected[0]) == 1
+    want = model.denormalize(z_d)[0][i]
+    got = projected[0][0]
+    assert (got.cx, got.cy, got.theta) == (want.cx, want.cy, want.theta)
+    assert np.array_equal(got.d, want.d)
+    projected.clear()
+    model.evaluate(moved(z_d, model.n - 1))  # an operator entry
+    assert projected == []
+
+
+@pytest.mark.parametrize("failure", ["wrong_size", "projection", "solve"])
+def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
+    model = Model(quick_spec())
+    z0 = initialize(model.spec)
+    model.evaluate(z0)
+    z1 = moved(z0, 3 * model.spec.n_primitives + 5)
+    if failure == "wrong_size":
+        with pytest.raises(ValueError):
+            model.evaluate(z1[:-1])
+    else:
+        def fail(*args, **kwargs):
+            raise fea.SingularSystemError("injected")
+
+        target = ((geometry, "rasterize_with_tape") if failure == "projection"
+                  else (fea, "analyze"))
+        with monkeypatch.context() as patch:
+            patch.setattr(*target, fail)
+            with pytest.raises(fea.SingularSystemError):
+                model.evaluate(z1)
+    for z in (z1, z0):
+        state = model.forward(z)
+        assert model.evaluate(z) == (state.J, state.g_v)
 
 
 # -- optimization loop ---------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_fd_check_validates_step(small_spec):
         fd_check(model, initialize(small_spec), step=0.0)
 
 
+@pytest.mark.parametrize("index", [-1, -40, 40])
+def test_fd_check_rejects_indices_outside_the_layout(small_spec, index):
+    # full_size is 40; numpy would read a negative index from the end,
+    # under a label that names another entry
+    model = Model(small_spec)
+    assert model.full_size == 40
+    with pytest.raises(ValueError, match=f"index {index} out of range"):
+        fd_check(model, initialize(small_spec), indices=[0, index])
+
+
 def test_softmax_jacobian_consistency(small_spec):
     # operator entries of the design gradient against FD, isolated via the
     # volume functional (solve-free, so the check is exact to round-off)
