@@ -105,7 +105,6 @@ def load_config(path) -> ProblemSpec:
 def spec_to_dict(spec: ProblemSpec) -> dict:
     """Effective configuration with every default resolved, JSON-ready."""
     doc = dataclasses.asdict(spec)
-    doc["mma"] = dataclasses.asdict(spec.mma)
     doc["frozen_operators"] = {str(k): v for k, v in spec.frozen_operators.items()}
     for name, (lo, hi) in spec.bounds().items():
         doc[f"{name}_bounds"] = [float(lo), float(hi)]
@@ -337,11 +336,15 @@ def cmd_sweep(args) -> int:
     try:
         base_doc = _read_json(args.config)
         config_from_dict(base_doc)  # validate before launching anything
-        tokens = [tok for tok in args.values.split(",") if tok]
+        if args.parallel is not None and args.parallel < 1:
+            raise ConfigError(f"parallel: must be >= 1, got {args.parallel}")
+        tokens = [tok for tok in map(str.strip, args.values.split(",")) if tok]
         if not tokens:
             raise ConfigError("values: empty list")
         jobs = []
-        for tok in tokens:
+        for i, tok in enumerate(tokens):
+            if tok in tokens[:i]:
+                raise ConfigError(f"values: {tok!r} is given more than once")
             doc = _apply_sweep_value(base_doc, args.param, tok)
             config_from_dict(doc)
             jobs.append((tok, doc, Path(args.out) / f"{args.param}={tok}"))
@@ -356,8 +359,10 @@ def cmd_sweep(args) -> int:
         except SolverAbort as exc:
             return exc
 
-    if args.parallel and args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(args.parallel or 1, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {tok: pool.submit(_sweep_one, doc, str(path))
                        for tok, doc, path in jobs}
             summaries = {tok: outcome(fut.result) for tok, fut in futures.items()}

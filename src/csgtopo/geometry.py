@@ -12,7 +12,9 @@ Signed distances are negative inside a shape.
 rasterize_with_tape runs the chain for all n_p primitives in one call on a
 sides-first (n_p, S, n_cells) array and keeps one batched ProjectionTape;
 projection_param_grad pulls per-cell sensitivities of every primitive (and
-of several objectives stacked on leading axes) back through that tape.
+of several objectives stacked on leading axes) back through that tape.  The
+input is one parameter row cx, cy, theta, d[0..S-1] per primitive, an
+(n_p, 3 + S) array; PolygonParams.row is that row of one polygon.
 Sides-first, every step runs along contiguous rows of n_cells values rather
 than reducing a short trailing axis per cell, and the sides are summed left
 to right, as numpy sums a trailing axis of up to 7 entries, so the fields
@@ -97,6 +99,11 @@ class PolygonParams:
     def angles(self) -> np.ndarray:
         """Final half-space normal angles theta + 2*pi*j/S."""
         return self.theta + base_angles(self.sides)
+
+    @property
+    def row(self) -> np.ndarray:
+        """Parameter row cx, cy, theta, d[0..S-1], as rasterize_with_tape reads it."""
+        return np.concatenate([(self.cx, self.cy, self.theta), self.d])
 
 
 @dataclass(frozen=True)
@@ -276,22 +283,22 @@ def _blocks(n_p: int, per_primitive: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_p, step)]
 
 
-def rasterize_with_tape(params, grid: SampleGrid,
+def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid,
                         cfg: ProjectionConfig) -> tuple[np.ndarray, ProjectionTape]:
-    """Project a sequence of polygons with a common side count in one call.
+    """Project n_p polygons with a common side count in one call.
 
-    Returns the (n_p, n_cells) densities, one row per polygon, and the tape
-    of the whole chain.
+    rows is the (n_p, 3 + S) array of parameter rows cx, cy, theta,
+    d[0..S-1].  Returns the (n_p, n_cells) densities, one row per polygon,
+    and the tape of the whole chain.
     """
     pts = grid.points
-    d = np.vstack([p.d for p in params])
-    n_p, sides = d.shape
+    n_p, sides = rows.shape[0], rows.shape[1] - 3
     n_cells = grid.n_cells
-    ang = np.array([p.theta for p in params])[:, None] + base_angles(sides)
+    ang = rows[:, 2, None] + base_angles(sides)
     cos_a = np.cos(ang)
     sin_a = np.sin(ang)
-    rel_x = pts[:, 0] - np.array([p.cx for p in params])[:, None]
-    rel_y = pts[:, 1] - np.array([p.cy for p in params])[:, None]
+    rel_x = pts[:, 0] - rows[:, 0, None]
+    rel_y = pts[:, 1] - rows[:, 1, None]
     weights = np.empty((n_p, sides, n_cells))
     rho = np.empty((n_p, n_cells))
     d_sigmoid = np.empty((n_p, n_cells))
@@ -300,7 +307,7 @@ def rasterize_with_tape(params, grid: SampleGrid,
         phi_hat = weights[b]
         np.multiply(rel_x[b, None], cos_a[b, :, None], out=phi_hat)
         phi_hat += rel_y[b, None] * sin_a[b, :, None]
-        phi_hat -= d[b, :, None]
+        phi_hat -= rows[b, 3:, None]
         # overwrites the block's half-spaces with their softmax weights
         phi, _ = _smooth_max(phi_hat, cfg.t / cfg.l0)
         rho_tilde = project_density(phi, cfg)
@@ -314,7 +321,7 @@ def rasterize_with_tape(params, grid: SampleGrid,
 def rasterize_primitive(p: PolygonParams, grid: SampleGrid,
                         cfg: ProjectionConfig) -> DensityField:
     """Project one polygon onto the grid: threshold(sigmoid(polygon_sdf))."""
-    return DensityField(rasterize_with_tape([p], grid, cfg)[0][0], grid)
+    return DensityField(rasterize_with_tape(p.row[None], grid, cfg)[0][0], grid)
 
 
 def projection_param_grad(tape: ProjectionTape, seed: np.ndarray):

@@ -134,16 +134,8 @@ class ProblemSpec:
         return 2 ** self.tree_depth - 1
 
     @property
-    def frozen_indices(self) -> dict[int, int]:
-        return {k: csg.operator_index(v) for k, v in self.frozen_operators.items()}
-
-    @property
-    def n_free_operators(self) -> int:
-        return self.n_operators - len(self.frozen_operators)
-
-    @property
     def design_size(self) -> int:
-        return self.n_primitives * (self.sides + 3) + 4 * self.n_free_operators
+        return self.full_size - 4 * len(self.frozen_operators)  # frozen nodes drop out
 
     @property
     def full_size(self) -> int:
@@ -181,6 +173,11 @@ class ProblemSpec:
                                          and all(_is_real(v) and math.isfinite(v)
                                                  for v in pair)):
                 fail(name, f"expected a [lo, hi] pair of finite numbers, got {pair!r}")
+        if not isinstance(self.frozen_operators, dict):
+            fail("frozen_operators", "expected a dict mapping node to operator, "
+                 f"got {self.frozen_operators!r}")
+        if not isinstance(self.mma, MmaConfig):
+            fail("mma", f"expected an MmaConfig, got {self.mma!r}")
         if self.fixed_dofs is not None and not (isinstance(self.fixed_dofs, (list, tuple))
                                                 and all(map(_is_int, self.fixed_dofs))):
             fail("fixed_dofs", f"expected a list of integer dofs, got {self.fixed_dofs!r}")
@@ -310,7 +307,7 @@ class Model:
             self.bcs = fea.BoundaryConditions(
                 np.asarray(spec.fixed_dofs, dtype=int),
                 {int(d): float(v) for d, v in spec.loads})
-        self.frozen = spec.frozen_indices
+        self.frozen = {k: csg.operator_index(v) for k, v in spec.frozen_operators.items()}
         self.free_nodes = [k for k in range(spec.n_operators) if k not in self.frozen]
         self.bounds = spec.bounds()
         self.scales = {name: hi - lo for name, (lo, hi) in self.bounds.items()}
@@ -378,30 +375,23 @@ class Model:
 
     def normalize_params(self, params) -> np.ndarray:
         """Inverse affine map of the geometry blocks (testing aid)."""
-        spec = self.spec
-        n_p, s = spec.n_primitives, spec.sides
-        out = np.empty(n_p * (s + 3))
-        for i, p in enumerate(params):
-            out[i] = (p.cx - self.bounds["cx"][0]) / self.scales["cx"]
-            out[n_p + i] = (p.cy - self.bounds["cy"][0]) / self.scales["cy"]
-            out[2 * n_p + i] = (p.theta - self.bounds["theta"][0]) / self.scales["theta"]
-            out[3 * n_p + i * s: 3 * n_p + (i + 1) * s] = \
-                (p.d - self.bounds["d"][0]) / self.scales["d"]
-        return out
+        rows = np.array([p.row for p in params])
+        blocks = [(rows[:, col] - self.bounds[name][0]) / self.scales[name]
+                  for col, name in enumerate(("cx", "cy", "theta"))]
+        d = (rows[:, 3:] - self.bounds["d"][0]) / self.scales["d"]
+        return np.concatenate(blocks + [d.ravel()])
 
     # -- forward evaluation --------------------------------------------------
 
     def forward(self, z: np.ndarray) -> sensitivity.ForwardState:
         """Full forward pass keeping the intermediates the gradients need."""
         t0 = time.perf_counter()
-        params, weights = self.denormalize(z)
-        leaf_values, tape = geometry.rasterize_with_tape(params, self.grid, self.cfg)
+        rows, weights = self._denormalize_rows(z)
+        leaf_values, tape = geometry.rasterize_with_tape(rows, self.grid, self.cfg)
         t1 = time.perf_counter()
         node_values = csg.evaluate_tree_values(weights, leaf_values)
         t2 = time.perf_counter()
-        root = np.clip(node_values[0], 0.0, 1.0)
-        u, j_val = fea.analyze(root, self.mesh, self.material, self.bcs, self.k0)
-        g_v = fea.volume_constraint(root, self.spec.vf_star, self.mesh)
+        _, u, j_val, g_v = self._solve(node_values)
         t3 = time.perf_counter()
         return sensitivity.ForwardState(
             weights=weights, tape=tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
@@ -430,12 +420,11 @@ class Model:
                          (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
         return out[0], out[1]
 
-    def _solve_leaves(self, weights: np.ndarray,
-                      leaf_values: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Clipped root field, J and g_v of the tree over the given leaf fields."""
-        root = np.clip(csg.evaluate_tree_values(weights, leaf_values)[0], 0.0, 1.0)
-        _, j_val = fea.analyze(root, self.mesh, self.material, self.bcs, self.k0)
-        return root, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
+    def _solve(self, node_values: np.ndarray) -> tuple:
+        """Clipped root field, displacements, J and g_v of the tree's node values."""
+        root = np.clip(node_values[0], 0.0, 1.0)
+        u, j_val = fea.analyze(root, self.mesh, self.material, self.bcs, self.k0)
+        return root, u, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
 
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
         """(J, g_v) only; used by finite differencing.
@@ -452,14 +441,13 @@ class Model:
         changed = (np.arange(len(rows)) if known is None else np.flatnonzero(
             (rows.view(np.int64) != known.view(np.int64)).any(axis=1)))
         if changed.size:
-            params = [geometry.PolygonParams(*rows[i, :3], rows[i, 3:]) for i in changed]
-            fields = geometry.rasterize_with_tape(params, self.grid, self.cfg)[0]
+            fields = geometry.rasterize_with_tape(rows[changed], self.grid, self.cfg)[0]
             if known is None:
                 self._leaf_fields, self._leaf_rows = fields, rows
             else:
                 self._leaf_fields[changed] = fields
                 known[changed] = rows[changed]
-        _, j_val, g_v = self._solve_leaves(weights, self._leaf_fields)
+        _, _, j_val, g_v = self._solve(csg.evaluate_tree_values(weights, self._leaf_fields))
         return j_val, g_v
 
     def forward_gradients(self, z: np.ndarray):
@@ -577,14 +565,14 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
 
 def _finalize(model: Model, z: np.ndarray, history: RunHistory,
               reason: str) -> OptimizeResult:
-    spec = model.spec
-    params, weights = model.denormalize(z)
-    tree = csg.CsgTree(spec.tree_depth, weights, model.frozen)
-    leaf_values = geometry.rasterize_with_tape(params, model.grid, model.cfg)[0]
+    rows, weights = model._denormalize_rows(z)
+    tree = csg.CsgTree(model.spec.tree_depth, weights, model.frozen)
+    leaf_values = geometry.rasterize_with_tape(rows, model.grid, model.cfg)[0]
 
     def solve_tree(t: csg.CsgTree):
         try:
-            root, j_val, g_v = model._solve_leaves(t.weights, leaf_values)
+            root, _, j_val, g_v = model._solve(
+                csg.evaluate_tree_values(t.weights, leaf_values))
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
         return geometry.DensityField(root, model.grid), j_val, g_v
@@ -595,7 +583,7 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
     pruned = csg.prune(snapped, leaf_values)
 
     return OptimizeResult(
-        z=np.array(z), params=params, tree=tree, snapped_tree=snapped,
+        z=np.array(z), params=model.denormalize(z)[0], tree=tree, snapped_tree=snapped,
         pruned_tree=pruned, field=field, field_snapped=field_snapped,
         J=j_relaxed, J_snapped=j_snapped, g_v=g_relaxed, g_v_snapped=g_snapped,
         iterations=len(history), reason=reason, history=history,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -360,6 +361,84 @@ def test_sweep_keeps_finished_results_when_one_job_aborts(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "vf_star=0.5: solver failed at iteration 4: injected failure" in err
     assert "vf_star=0.4" not in err and "vf_star=0.6" not in err
+
+
+@pytest.fixture
+def fake_sweep(monkeypatch):
+    """Replaces the runs and the process pool; returns the max_workers of
+    every pool made and the run directory of every job, in order."""
+    pools, outdirs = [], []
+
+    class Pool:
+        """Stands in for ProcessPoolExecutor: runs each job inline, starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    def sweep_one(doc, outdir):
+        outdirs.append(Path(outdir).name)
+        return {"J_relaxed": 1.0, "J_snapped": 1.0, "g_v": 0.0}
+
+    monkeypatch.setattr(cli, "_sweep_one", sweep_one)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    return pools, outdirs
+
+
+@pytest.mark.parametrize("parallel,values,workers", [
+    ("2", "0.3,0.4,0.5", [2]),
+    ("8", "0.3,0.4,0.5", [3]),
+    ("8", "0.3", []),          # one value runs in the calling process
+    ("1", "0.3,0.4", []),
+])
+def test_sweep_pool_has_no_more_workers_than_values(tmp_path, fake_sweep, parallel,
+                                                     values, workers):
+    pools, outdirs = fake_sweep
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star", "--values", values,
+                 "--out", str(tmp_path / "s"), "--parallel", parallel]) == 0
+    assert pools == workers
+    assert outdirs == [f"vf_star={v}" for v in values.split(",")]
+
+
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_sweep_rejects_parallel_below_one(tmp_path, capsys, fake_sweep, parallel):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", "0.3,0.4", "--out", str(tmp_path / "s"),
+                 "--parallel", parallel]) == 1
+    assert "parallel" in capsys.readouterr().err
+    assert fake_sweep == ([], []) and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("values", ["0.3,0.3", "0.3,0.4, 0.3"])
+def test_sweep_rejects_repeated_value(tmp_path, capsys, fake_sweep, values):
+    # both runs would write into one vf_star=0.3 directory
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", values, "--out", str(tmp_path / "s")]) == 1
+    assert "values" in capsys.readouterr().err
+    assert fake_sweep == ([], []) and not (tmp_path / "s").exists()
+
+
+def test_sweep_strips_values(tmp_path, fake_sweep):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", " 0.3 , 0.4", "--out", str(out)]) == 0
+    assert fake_sweep[1] == ["vf_star=0.3", "vf_star=0.4"]
+    assert (out / "pareto.csv").read_text().splitlines()[1:] == \
+        ["0.3,1,1,0", "0.4,1,1,0"]
 
 
 def test_sweep_rejects_non_numeric_value(tmp_path, capsys):

@@ -258,7 +258,7 @@ def test_projection_param_grad_matches_fd():
     rng = np.random.default_rng(5)
     seed = rng.standard_normal(grid.n_cells)
 
-    _, tape = rasterize_with_tape([p], grid, cfg)
+    _, tape = rasterize_with_tape(p.row[None], grid, cfg)
     d_cx, d_cy, d_th, d_d = projection_param_grad(tape, seed[None])
     analytic = np.concatenate([d_cx, d_cy, d_th, d_d[0]])
 
@@ -293,12 +293,17 @@ def random_polygons(rng, n, sides, lx, ly):
                           rng.uniform(0.0, 0.25 * lx, sides)) for _ in range(n)]
 
 
+def rows_of(params):
+    """The (n_p, 3 + S) parameter rows rasterize_with_tape reads."""
+    return np.array([p.row for p in params])
+
+
 @pytest.mark.parametrize("sides", [3, 6])
 def test_batched_rasterize_equals_per_primitive(sides):
     grid = SampleGrid(20, 10, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     params = random_polygons(np.random.default_rng(7), 9, sides, 60.0, 30.0)
-    batched, _ = rasterize_with_tape(params, grid, cfg)
+    batched, _ = rasterize_with_tape(rows_of(params), grid, cfg)
     stacked = np.vstack([rasterize_primitive(p, grid, cfg).values for p in params])
     assert np.array_equal(batched, stacked)
 
@@ -309,7 +314,7 @@ def test_sides_first_tape_matches_cells_first_reference(sides):
     grid = SampleGrid(20, 10, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     params = random_polygons(np.random.default_rng(13), 7, sides, 60.0, 30.0)
-    rho, tape = rasterize_with_tape(params, grid, cfg)
+    rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     assert tape.lse_weights.shape == (7, sides, grid.n_cells)
     s = cfg.t / cfg.l0
     for i, p in enumerate(params):
@@ -333,10 +338,10 @@ def test_batched_pullback_rows_are_independent():
     rng = np.random.default_rng(11)
     params = random_polygons(rng, 5, 4, 60.0, 30.0)
     seeds = rng.standard_normal((2, len(params), grid.n_cells))
-    _, tape = rasterize_with_tape(params, grid, cfg)
+    _, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):
-        _, single = rasterize_with_tape([p], grid, cfg)
+        _, single = rasterize_with_tape(p.row[None], grid, cfg)
         for r in range(2):
             one = projection_param_grad(single, seeds[r, i][None])
             for got, want in zip(batched, one):
@@ -355,10 +360,10 @@ def test_blocked_chain_equals_one_primitive_calls(sides):
     rng = np.random.default_rng(17)
     params = random_polygons(rng, n_p, sides, 60.0, 30.0)
     seeds = rng.standard_normal((2, n_p, grid.n_cells))
-    rho, tape = rasterize_with_tape(params, grid, cfg)
+    rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):
-        rho_i, tape_i = rasterize_with_tape([p], grid, cfg)
+        rho_i, tape_i = rasterize_with_tape(p.row[None], grid, cfg)
         assert np.array_equal(rho[i], rho_i[0])
         for name in ("cos_a", "sin_a", "rel_x", "rel_y", "lse_weights",
                      "d_sigmoid", "d_threshold"):

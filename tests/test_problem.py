@@ -43,10 +43,14 @@ def test_default_spec_matches_documented_values():
     ("vf_star", 1.5), ("vf_star", 0.0), ("tree_depth", 0), ("sides", 2),
     ("gamma", -1.0), ("nu", 0.6), ("penalty", 0.5), ("benchmark", "nope"),
     ("frozen_operators", {99: "union"}), ("frozen_operators", {0: "xor"}),
+    # the Python API can pass any object where the CLI builds a dict or an
+    # MmaConfig; a wrong one must not pass and then fail inside optimize
+    ("frozen_operators", [1]), ("frozen_operators", None),
+    ("mma", {"max_iter": 3}), ("mma", None),
 ])
 def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
         spec.validate()
 
 
@@ -264,9 +268,9 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
     projected = []
     original = geometry.rasterize_with_tape
 
-    def rasterize(params, grid, cfg):
-        projected.append(list(params))
-        return original(params, grid, cfg)
+    def rasterize(rows, grid, cfg):
+        projected.append(np.array(rows))
+        return original(rows, grid, cfg)
 
     monkeypatch.setattr(geometry, "rasterize_with_tape", rasterize)
     i, j = 2, 1
@@ -275,11 +279,29 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
     assert len(projected) == 1 and len(projected[0]) == 1
     want = model.denormalize(z_d)[0][i]
     got = projected[0][0]
-    assert (got.cx, got.cy, got.theta) == (want.cx, want.cy, want.theta)
-    assert np.array_equal(got.d, want.d)
+    assert tuple(got[:3]) == (want.cx, want.cy, want.theta)
+    assert np.array_equal(got[3:], want.d)
     projected.clear()
     model.evaluate(moved(z_d, model.n - 1))  # an operator entry
     assert projected == []
+
+
+@pytest.mark.parametrize("sides", range(3, 9))
+def test_forward_leaf_fields_equal_one_polygon_projections(sides):
+    # forward projects the parameter rows; the PolygonParams list of
+    # denormalize is what OptimizeResult.params and the snapped benchmark
+    # compliance read.  8 primitives in blocks of 7: the last block is ragged
+    spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides)
+    model = Model(spec)
+    per_block = geometry._BLOCK_DOUBLES // (sides * model.grid.n_cells)
+    assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
+    z = initialize(spec)
+    leaves = model.forward(z).node_values[spec.n_operators:]
+    params = model.denormalize(z)[0]
+    assert len(leaves) == len(params) == spec.n_primitives
+    for leaf, p in zip(leaves, params):
+        assert np.array_equal(leaf, geometry.rasterize_primitive(p, model.grid,
+                                                                 model.cfg).values)
 
 
 @pytest.mark.parametrize("failure", ["wrong_size", "projection", "solve"])
