@@ -35,6 +35,7 @@ __all__ = [
     "combine",
     "combine_grad_operand",
     "combine_grad_weights",
+    "walk_scratch",
     "evaluate_tree_values",
     "tree_backward",
     "snap_to_onehot",
@@ -159,33 +160,66 @@ class CsgTree:
         return CsgTree(self.depth, w, dict(self.frozen))
 
 
-def evaluate_tree_values(weights: np.ndarray, leaf_values: np.ndarray) -> np.ndarray:
+def walk_scratch(n_leaves: int, n_cells: int, n_seeds: int = 1) -> np.ndarray:
+    """Flat scratch for evaluate_tree_values and tree_backward on a tree of
+    n_leaves leaf fields of n_cells values, pulling back n_seeds seeds.
+
+    It holds two arrays of the deepest operator level and two blocks of
+    children's seeds: (2 + 3 n_seeds) * (n_leaves // 2) * n_cells doubles.
+    """
+    return np.empty((2 + 3 * n_seeds) * (n_leaves // 2) * n_cells)
+
+
+def _rows(flat: np.ndarray, n_rows: int, n_cells: int) -> np.ndarray:
+    """The first n_rows rows of n_cells values of a flat array: contiguous,
+    laid out as a fresh (n_rows, n_cells) array."""
+    return flat[:n_rows * n_cells].reshape(n_rows, n_cells, copy=False)
+
+
+def evaluate_tree_values(weights: np.ndarray, leaf_values: np.ndarray,
+                         out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
     """Bottom-up evaluation on raw arrays; returns all node fields.
 
     leaf_values has shape (n_leaves, n_cells) in leaf order; the result has
     one row per heap node, the root in row 0.  Each tree level is combined
-    in one step, deepest first, with the child layout tree_backward uses.
+    in one step, deepest first, with the child layout tree_backward uses:
+    combine's terms in combine's order, each written into an array given
+    in advance.  out, an (n_nodes, n_cells) array whose leaf rows may
+    already be leaf_values, receives the node fields in place of a fresh
+    array; scratch, a flat array of at least n_leaves // 2 * n_cells
+    doubles (walk_scratch's will do), is allocated when omitted.
     """
     n_internal = weights.shape[0]
     n_leaves, n_cells = leaf_values.shape
     if n_leaves != n_internal + 1 or n_leaves & n_internal:
         raise ValueError(
             f"{n_leaves} leaf fields do not fit a tree with {n_internal} operators")
-    values = np.empty((n_internal + n_leaves, n_cells))
-    values[n_internal:] = leaf_values
+    values = np.empty((n_internal + n_leaves, n_cells)) if out is None else out
+    values[n_internal:] = leaf_values   # a no-op when they are out's leaf rows
+    if scratch is None:
+        scratch = np.empty(n_leaves // 2 * n_cells)
     first = (n_internal - 1) // 2
     while first >= 0:
         level = slice(first, 2 * first + 1)
         left = slice(2 * first + 1, 4 * first + 2, 2)
         right = slice(2 * first + 2, 4 * first + 3, 2)
+        rx, ry = values[left], values[right]
         # weights as (4, n_level, 1) so each node's b broadcasts over its cells
-        values[level] = combine(values[left], values[right], weights[level].T[..., None])
+        b = weights[level].T[..., None]
+        node, term = values[level], _rows(scratch, first + 1, n_cells)
+        np.multiply(b[1] + b[2], rx, out=node)
+        np.multiply(b[1] + b[3], ry, out=term)
+        node += term
+        np.multiply(b[0] - b[1] - b[2] - b[3], rx, out=term)
+        term *= ry
+        node += term
         first = (first - 1) // 2
     return values
 
 
-def tree_backward(weights: np.ndarray, node_values: np.ndarray,
-                  seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tree_backward(weights: np.ndarray, node_values: np.ndarray, seed: np.ndarray,
+                  scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pull a root-field sensitivity down to the leaves and the weights.
 
     Returns (leaf_seeds, weight_grads): leaf_seeds[i] is the sensitivity of
@@ -196,33 +230,64 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray,
     have their left children at the odd and their right children at the
     even rows of 2*first+1..4*first+2.  Every child has exactly one parent,
     so only the current level's seeds g are kept: the children's seeds are
-    written once, as g * d_rx and g * d_ry, into a fresh (m, n_level, 2,
+    written once, as g * d_rx and g * d_ry, into an (m, n_level, 2,
     n_cells) block whose rows are the next level in heap order.  Each seed
-    is one product and each weight gradient one dot of g with a vector of
-    combine_grad_weights, so the results are bit for bit those of a walk
-    that sums into a zeroed array of all nodes.
+    is one product and each weight gradient one dot of g with a partial of
+    combine_grad_weights, and the operand partials are those of
+    combine_grad_operand, each computed term by term into scratch (that
+    of walk_scratch, allocated when omitted).  So the results are bit for
+    bit those of a walk that sums into a zeroed array of all nodes.  The
+    leaf seeds returned are a view of scratch.
     """
     seed = np.asarray(seed, dtype=float)
     seeds = np.atleast_2d(seed)
     m, n_cells = seeds.shape
     n_internal = weights.shape[0]
+    half = (n_internal + 1) // 2
+    if scratch is None:
+        scratch = walk_scratch(n_internal + 1, n_cells, m)
+    level_rows = scratch[:2 * half * n_cells].reshape(2, -1)
+    # the children's seeds of successive levels alternate between two
+    # blocks of m * 2 * half and m * half rows, so that the leaves' (the
+    # last of the depth levels) fill the first
+    blocks = (scratch[2 * half * n_cells:], scratch[(2 + 2 * m) * half * n_cells:])
+    depth = n_internal.bit_length()
+    which = (depth - 1) % 2
     weight_grads = np.empty((m, n_internal, 4))
     g = seeds[:, None]
     first = 0
     while first < n_internal:
+        n_level = first + 1
         level = slice(first, 2 * first + 1)
         left = slice(2 * first + 1, 4 * first + 2, 2)
         right = slice(2 * first + 2, 4 * first + 3, 2)
         rx, ry = node_values[left], node_values[right]
+        prod, partial = (_rows(row, n_level, n_cells) for row in level_rows)
+        # the four partials of combine_grad_weights, one dot per
+        # (objective, node, weight): the same sum as a 1-D g @ partial
+        np.multiply(rx, ry, out=prod)
+        weight_grads[:, level, 0] = np.vecdot(g, prod)
+        np.add(rx, ry, out=partial)
+        partial -= prod
+        weight_grads[:, level, 1] = np.vecdot(g, partial)
+        np.subtract(rx, prod, out=partial)
+        weight_grads[:, level, 2] = np.vecdot(g, partial)
+        np.subtract(ry, prod, out=partial)
+        weight_grads[:, level, 3] = np.vecdot(g, partial)
+        d_rx, d_ry = prod, partial      # the weight partials are spent
         # weights as (4, n_level, 1) so each node's b broadcasts over its cells
-        d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
-        # one dot per (objective, node, weight), the same sum as a 1-D g @ partial
-        for k, partial in enumerate(combine_grad_weights(rx, ry)):
-            weight_grads[:, level, k] = np.vecdot(g, partial)
-        children = np.empty((m, first + 1, 2, n_cells))
+        b = weights[level].T[..., None]
+        cross = b[0] - b[1] - b[2] - b[3]
+        np.multiply(cross, ry, out=d_rx)
+        d_rx += b[1] + b[2]
+        np.multiply(cross, rx, out=d_ry)
+        d_ry += b[1] + b[3]
+        children = blocks[which][:m * 2 * n_level * n_cells].reshape(
+            m, n_level, 2, n_cells, copy=False)
         np.multiply(g, d_rx, out=children[:, :, 0])
         np.multiply(g, d_ry, out=children[:, :, 1])
-        g = children.reshape(m, 2 * first + 2, n_cells)
+        g = children.reshape(m, 2 * n_level, n_cells, copy=False)
+        which ^= 1
         first = 2 * first + 1
     if seed.ndim == 1:
         return g[0], weight_grads[0]

@@ -164,10 +164,18 @@ class SampleGrid:
         return self.nx * self.ny
 
     @cached_property
+    def xs(self) -> np.ndarray:
+        """x of the nx columns of cells; point e = j*nx + i has x = xs[i]."""
+        return (np.arange(self.nx) + 0.5) * self.dx
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """y of the ny rows of cells; point e = j*nx + i has y = ys[j]."""
+        return (np.arange(self.ny) + 0.5) * self.dy
+
+    @cached_property
     def points(self) -> np.ndarray:
-        xs = (np.arange(self.nx) + 0.5) * self.dx
-        ys = (np.arange(self.ny) + 0.5) * self.dy
-        xx, yy = np.meshgrid(xs, ys)
+        xx, yy = np.meshgrid(self.xs, self.ys)
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
@@ -275,46 +283,69 @@ class ProjectionTape:
     d_sigmoid: np.ndarray    # (n_p, n_cells) d rho_tilde / d phi
     d_threshold: np.ndarray  # (n_p, n_cells) d rho / d rho_tilde
 
+    @classmethod
+    def empty(cls, n_p: int, sides: int, n_cells: int) -> "ProjectionTape":
+        """A tape of unfilled arrays, for rasterize_with_tape to write into."""
+        return cls(np.empty((n_p, sides)), np.empty((n_p, sides)),
+                   np.empty((n_p, n_cells)), np.empty((n_p, n_cells)),
+                   np.empty((n_p, sides, n_cells)), np.empty((n_p, n_cells)),
+                   np.empty((n_p, n_cells)))
 
-def _blocks(n_p: int, per_primitive: int) -> list[slice]:
-    """Slices of consecutive primitives, each spanning at most _BLOCK_DOUBLES
-    values when one primitive spans per_primitive (but one primitive at least)."""
-    step = max(1, _BLOCK_DOUBLES // per_primitive)
-    return [slice(lo, lo + step) for lo in range(0, n_p, step)]
+    @property
+    def block(self) -> int:
+        """Primitives per block: at most _BLOCK_DOUBLES values of the stack,
+        but one primitive at least."""
+        _, sides, n_cells = self.lse_weights.shape
+        return max(1, _BLOCK_DOUBLES // (sides * n_cells))
 
 
-def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid,
-                        cfg: ProjectionConfig) -> tuple[np.ndarray, ProjectionTape]:
+def _blocks(n_p: int, step: int) -> list[slice]:
+    """Slices of step consecutive primitives, the last one possibly shorter."""
+    return [slice(lo, min(lo + step, n_p)) for lo in range(0, n_p, step)]
+
+
+def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid, cfg: ProjectionConfig,
+                        out: tuple[np.ndarray, ProjectionTape] | None = None
+                        ) -> tuple[np.ndarray, ProjectionTape]:
     """Project n_p polygons with a common side count in one call.
 
     rows is the (n_p, 3 + S) array of parameter rows cx, cy, theta,
     d[0..S-1].  Returns the (n_p, n_cells) densities, one row per polygon,
-    and the tape of the whole chain.
+    and the tape of the whole chain.  out, a densities array and a tape
+    of C-contiguous arrays of those shapes, is filled and returned in place
+    of fresh arrays, so a caller that projects every iteration reuses one
+    set.
+
+    The half-spaces are built from the grid's separable coordinates:
+    (x_i - cx) cos on (S, nx) plus (y_j - cy) sin on (S, ny), broadcast
+    into the (S, ny, nx) cells of each primitive.  Point e = j*nx + i has
+    x = xs[i] and y = ys[j] exactly, so the terms are those of the
+    per-cell products and the stack is the same bit for bit.
     """
-    pts = grid.points
     n_p, sides = rows.shape[0], rows.shape[1] - 3
-    n_cells = grid.n_cells
+    nx, ny = grid.nx, grid.ny
+    rho, tape = out if out is not None else (np.empty((n_p, grid.n_cells)),
+                                             ProjectionTape.empty(n_p, sides, grid.n_cells))
     ang = rows[:, 2, None] + base_angles(sides)
-    cos_a = np.cos(ang)
-    sin_a = np.sin(ang)
-    rel_x = pts[:, 0] - rows[:, 0, None]
-    rel_y = pts[:, 1] - rows[:, 1, None]
-    weights = np.empty((n_p, sides, n_cells))
-    rho = np.empty((n_p, n_cells))
-    d_sigmoid = np.empty((n_p, n_cells))
-    d_threshold = np.empty((n_p, n_cells))
-    for b in _blocks(n_p, sides * n_cells):
-        phi_hat = weights[b]
-        np.multiply(rel_x[b, None], cos_a[b, :, None], out=phi_hat)
-        phi_hat += rel_y[b, None] * sin_a[b, :, None]
+    cos_a = np.cos(ang, out=tape.cos_a)
+    sin_a = np.sin(ang, out=tape.sin_a)
+    rel_xs = grid.xs - rows[:, 0, None]             # (n_p, nx)
+    rel_ys = grid.ys - rows[:, 1, None]             # (n_p, ny)
+    tape.rel_x.reshape(n_p, ny, nx, copy=False)[...] = rel_xs[:, None]
+    tape.rel_y.reshape(n_p, ny, nx, copy=False)[...] = rel_ys[..., None]
+    for b in _blocks(n_p, tape.block):
+        phi_hat = tape.lse_weights[b]
+        x_term = rel_xs[b, None] * cos_a[b, :, None]    # (n_b, S, nx)
+        y_term = rel_ys[b, None] * sin_a[b, :, None]    # (n_b, S, ny)
+        np.add(x_term[..., None, :], y_term[..., None],
+               out=phi_hat.reshape(-1, sides, ny, nx, copy=False))
         phi_hat -= rows[b, 3:, None]
         # overwrites the block's half-spaces with their softmax weights
         phi, _ = _smooth_max(phi_hat, cfg.t / cfg.l0)
         rho_tilde = project_density(phi, cfg)
-        d_sigmoid[b] = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
-        rho[b], d_threshold[b] = _threshold_chain(rho_tilde, cfg.beta)
+        tape.d_sigmoid[b] = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
+        rho[b], tape.d_threshold[b] = _threshold_chain(rho_tilde, cfg.beta)
     np.clip(rho, 0.0, 1.0, out=rho)
-    tape = ProjectionTape(cos_a, sin_a, rel_x, rel_y, weights, d_sigmoid, d_threshold)
     return rho, tape
 
 
@@ -324,25 +355,37 @@ def rasterize_primitive(p: PolygonParams, grid: SampleGrid,
     return DensityField(rasterize_with_tape(p.row[None], grid, cfg)[0][0], grid)
 
 
-def projection_param_grad(tape: ProjectionTape, seed: np.ndarray):
+def projection_param_grad(tape: ProjectionTape, seed: np.ndarray,
+                          scratch: np.ndarray | None = None):
     """Pull per-cell sensitivities back to every primitive's (cx, cy, theta, d).
 
     seed[..., i, e] is d(objective)/d(rho[i, e]) for primitive i; leading
     axes stack independent objectives.  Returns (d_cx, d_cy, d_theta, d_d),
     the first three shaped seed.shape[:-1] and d_d with a trailing S axis.
+    scratch, a flat array of at least 2 * seed[..., :tape.block, :].size
+    doubles, holds each block's chain products; one is allocated when it
+    is omitted.
     """
     weights = tape.lse_weights
     n_p, sides, n_cells = weights.shape
+    if scratch is None:
+        scratch = np.empty(2 * seed[..., :tape.block, :].size)
     # a trailing unit axis makes each primitive's result a contiguous
     # (S, 1) matrix, so matmul writes it with the same gemv as a fresh array
     a, sx, sy = np.empty((3,) + seed.shape[:-2] + (n_p, sides, 1))
-    for b in _blocks(n_p, sides * n_cells):
-        chain = seed[..., b, :] * tape.d_threshold[b] * tape.d_sigmoid[b]
+    for b in _blocks(n_p, tape.block):
+        seed_b = seed[..., b, :]
+        # both are contiguous like fresh arrays, so each gemv is the same
+        chain, moment = scratch[:2 * seed_b.size].reshape((2,) + seed_b.shape, copy=False)
+        np.multiply(seed_b, tape.d_threshold[b], out=chain)
+        chain *= tape.d_sigmoid[b]
         # one gemv W_i v_i per primitive and objective, as on a single
         # primitive; a stacked gemm would sum in another order
         np.matmul(weights[b], chain[..., None], out=a[..., b, :, :])
-        np.matmul(weights[b], (chain * tape.rel_x[b])[..., None], out=sx[..., b, :, :])
-        np.matmul(weights[b], (chain * tape.rel_y[b])[..., None], out=sy[..., b, :, :])
+        np.multiply(chain, tape.rel_x[b], out=moment)
+        np.matmul(weights[b], moment[..., None], out=sx[..., b, :, :])
+        np.multiply(chain, tape.rel_y[b], out=moment)
+        np.matmul(weights[b], moment[..., None], out=sy[..., b, :, :])
     a, sx, sy = a[..., 0], sx[..., 0], sy[..., 0]
     d_cx = -np.vecdot(tape.cos_a, a)
     d_cy = -np.vecdot(tape.sin_a, a)

@@ -152,7 +152,8 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
     def x_of(lam: float) -> np.ndarray:
         ps = np.sqrt(p0 + lam * p1)
         qs = np.sqrt(q0 + lam * q1)
-        return np.clip((low * ps + upp * qs) / (ps + qs), alpha, beta)
+        # np.clip's result, without its per-call overhead on the bisection path
+        return np.minimum(np.maximum((low * ps + upp * qs) / (ps + qs), alpha), beta)
 
     def slack_of(lam: float) -> float:
         return max(0.0, lam - c)

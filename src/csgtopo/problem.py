@@ -317,6 +317,10 @@ class Model:
         # evaluate's projected primitives: parameter rows and their leaf fields
         self._leaf_rows: np.ndarray | None = None
         self._leaf_fields: np.ndarray | None = None
+        # what forward and gradients fill, allocated on first use, and the
+        # one ForwardState whose arrays it holds
+        self._work: _Workspace | None = None
+        self._state: sensitivity.ForwardState | None = None
 
     # -- design-vector layout ----------------------------------------------
 
@@ -384,34 +388,55 @@ class Model:
     # -- forward evaluation --------------------------------------------------
 
     def forward(self, z: np.ndarray) -> sensitivity.ForwardState:
-        """Full forward pass keeping the intermediates the gradients need."""
+        """Full forward pass keeping the intermediates the gradients need.
+
+        The tape and node fields are written into the Model's workspace, so
+        the state returned is valid until the next forward on this Model.
+        """
         t0 = time.perf_counter()
+        self._state = None          # any earlier state's arrays get overwritten
         rows, weights = self._denormalize_rows(z)
-        leaf_values, tape = geometry.rasterize_with_tape(rows, self.grid, self.cfg)
+        work = self._workspace()
+        leaf_values = work.node_values[self.spec.n_operators:]
+        _, tape = geometry.rasterize_with_tape(rows, self.grid, self.cfg,
+                                               out=(leaf_values, work.tape))
         t1 = time.perf_counter()
-        node_values = csg.evaluate_tree_values(weights, leaf_values)
+        node_values = csg.evaluate_tree_values(weights, leaf_values, out=work.node_values,
+                                               scratch=work.tree)
         t2 = time.perf_counter()
         _, u, j_val, g_v = self._solve(node_values)
         t3 = time.perf_counter()
-        return sensitivity.ForwardState(
+        self._state = sensitivity.ForwardState(
             weights=weights, tape=tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
             timings={"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2},
         )
+        return self._state
 
     def gradients(self, state: sensitivity.ForwardState) -> tuple[np.ndarray, np.ndarray]:
         """(dJ/dz, dg_v/dz) of a completed forward pass.
 
         Both field seeds are pulled back together as one (2, n_cells) stack:
-        one tree walk and one pass through the projection tape.
+        one tree walk and one pass through the projection tape.  state must
+        come from the last forward on this Model; an older one raises.
         """
+        if state is not self._state:
+            raise ValueError("stale forward state: a later forward pass on this "
+                             "Model has overwritten its arrays")
         state.require_complete()
+        work = self._work
+        if work.tree is None:
+            # allocated after the first solve, so they reuse the memory it freed
+            n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
+            work.tree = csg.walk_scratch(n_p, n_cells, 2)
+            work.chain = np.empty(4 * state.tape.block * n_cells)
         seeds = np.stack([
             sensitivity.grad_compliance(state.u, state.field_values, self.mesh,
                                         self.material, self.k0),
             sensitivity.grad_volume(self.mesh, self.spec.vf_star)])
         leaf_seeds, weight_grads = csg.tree_backward(state.weights, state.node_values,
-                                                     seeds)
-        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(state.tape, leaf_seeds)
+                                                     seeds, scratch=work.tree)
+        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(state.tape, leaf_seeds,
+                                                               scratch=work.chain)
         s = self.scales
         b = state.weights[self.free_nodes]
         gb = weight_grads[:, self.free_nodes]
@@ -419,6 +444,17 @@ class Model:
         out = np.hstack([d_cx * s["cx"], d_cy * s["cy"], d_th * s["theta"],
                          (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
         return out[0], out[1]
+
+    def _workspace(self) -> "_Workspace":
+        if self._work is None:
+            n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
+            tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, n_cells)
+            self._work = _Workspace(tape, np.empty((2 * n_p - 1, n_cells)))
+        return self._work
+
+    def _release(self) -> None:
+        """Drop the workspace and the state it backs, for one-shot callers."""
+        self._work = self._state = None
 
     def _solve(self, node_values: np.ndarray) -> tuple:
         """Clipped root field, displacements, J and g_v of the tree's node values."""
@@ -451,9 +487,29 @@ class Model:
         return j_val, g_v
 
     def forward_gradients(self, z: np.ndarray):
-        """(J, g_v, dJ/dz, dg_v/dz) in one pass."""
-        state = self.forward(z)
-        return (state.J, state.g_v, *self.gradients(state))
+        """(J, g_v, dJ/dz, dg_v/dz) in one pass; the workspace is dropped after."""
+        try:
+            state = self.forward(z)
+            return (state.J, state.g_v, *self.gradients(state))
+        finally:
+            self._release()
+
+
+@dataclass(eq=False)
+class _Workspace:
+    """The arrays one iteration fills, allocated once per Model.
+
+    Reusing them keeps each forward and gradients pass from taking fresh
+    pages from the system, whose first touches cost milliseconds per step
+    on a deep tree.  The leaf fields are the leaf rows of node_values.
+    The first forward allocates the tape and node fields, the first
+    gradients the two scratch arrays of the pullbacks.
+    """
+
+    tape: geometry.ProjectionTape
+    node_values: np.ndarray             # (n_nodes, n_cells), root in row 0
+    tree: np.ndarray | None = None      # csg.walk_scratch for two seeds
+    chain: np.ndarray | None = None     # projection_param_grad's, for two seeds
 
 
 # -- optimization loop -------------------------------------------------------
@@ -549,8 +605,6 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
             callback(history.records[-1])
         log.debug("iter %d: J=%.6g g=%.3e kkt=%.3e step=%.3e", it, fwd.J, fwd.g_v,
                   kkt, step)
-        # release the tape and node fields before the next forward pass
-        del fwd
         z = z_new
         if kkt < cfg.kkt_tol:
             reason = "kkt"
@@ -567,12 +621,18 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
               reason: str) -> OptimizeResult:
     rows, weights = model._denormalize_rows(z)
     tree = csg.CsgTree(model.spec.tree_depth, weights, model.frozen)
-    leaf_values = geometry.rasterize_with_tape(rows, model.grid, model.cfg)[0]
+    # the last projection fills the loop's workspace, which the Model then
+    # drops: nothing of the size of the tape is allocated again
+    work = model._workspace()
+    model._release()
+    node_values = work.node_values
+    leaf_values = node_values[model.spec.n_operators:]
+    geometry.rasterize_with_tape(rows, model.grid, model.cfg, out=(leaf_values, work.tape))
 
     def solve_tree(t: csg.CsgTree):
         try:
             root, _, j_val, g_v = model._solve(
-                csg.evaluate_tree_values(t.weights, leaf_values))
+                csg.evaluate_tree_values(t.weights, leaf_values, out=node_values))
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
         return geometry.DensityField(root, model.grid), j_val, g_v

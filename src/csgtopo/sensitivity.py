@@ -35,7 +35,8 @@ class ForwardState:
     """Everything one forward pass produced.
 
     The gradients require a completed pass: tape, node_values and u must
-    all be present.
+    all be present.  tape and node_values are arrays of the Model's
+    workspace, valid until the next forward pass on that Model.
     """
 
     weights: np.ndarray                  # (n_internal, 4)

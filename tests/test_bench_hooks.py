@@ -81,3 +81,23 @@ def test_layer_spans_are_per_call_not_per_block(tracing, tmp_path):
     assert calls["geometry:rasterize_with_tape"] == iterations + 1
     assert calls["geometry:projection_param_grad"] == iterations
     assert calls["csg:tree_backward"] == iterations
+
+
+def test_run_works_with_forward_wrapped_as_strict_self_z(tmp_path, monkeypatch):
+    # the benchmark's step clock replaces Model.forward by a plain
+    # forward(self, z) function; the loop must call nothing else through it
+    from csgtopo import cli, problem
+    from csgtopo.mma import MmaConfig
+    from csgtopo.problem import ProblemSpec
+
+    original = problem.Model.forward
+    calls = []
+
+    def forward(self, z):
+        calls.append(z)
+        return original(self, z)
+
+    monkeypatch.setattr(problem.Model, "forward", forward)
+    spec = ProblemSpec(nx=12, ny=6, tree_depth=2, sides=4, mma=MmaConfig(max_iter=2))
+    summary = cli.execute_run(spec, tmp_path)
+    assert summary["iterations"] == len(calls) == 2

@@ -308,12 +308,15 @@ def test_batched_rasterize_equals_per_primitive(sides):
     assert np.array_equal(batched, stacked)
 
 
-@pytest.mark.parametrize("sides", [3, 4, 6])
-def test_sides_first_tape_matches_cells_first_reference(sides):
+@pytest.mark.parametrize("sides,grid", [
+    *[pytest.param(s, SampleGrid(20, 10, 60.0, 30.0), id=str(s)) for s in (3, 4, 6)],
+    # odd nx and dx != dy: the separable half-space terms on non-square cells
+    *[pytest.param(s, SampleGrid(17, 5, 40.0, 30.0), id=f"17x5-{s}") for s in (3, 4, 6)],
+])
+def test_sides_first_tape_matches_cells_first_reference(sides, grid):
     # the chain as it ran on an (n_cells, S) stack, summing the trailing axis
-    grid = SampleGrid(20, 10, 60.0, 30.0)
-    cfg = ProjectionConfig.for_domain(60.0, 30.0)
-    params = random_polygons(np.random.default_rng(13), 7, sides, 60.0, 30.0)
+    cfg = ProjectionConfig.for_domain(grid.lx, grid.ly)
+    params = random_polygons(np.random.default_rng(13), 7, sides, grid.lx, grid.ly)
     rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     assert tape.lse_weights.shape == (7, sides, grid.n_cells)
     s = cfg.t / cfg.l0

@@ -328,6 +328,74 @@ def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
         assert model.evaluate(z) == (state.J, state.g_v)
 
 
+# -- the forward and gradient workspace ----------------------------------------------
+
+TAPE_FIELDS = ("cos_a", "sin_a", "rel_x", "rel_y", "lse_weights", "d_sigmoid",
+               "d_threshold")
+
+
+def test_forward_and_gradients_reuse_the_workspace():
+    # the deep-tree benchmark's problem: after the first pass, a forward and
+    # gradients pass fills the Model's arrays instead of allocating a tape
+    model = Model(ProblemSpec(nx=32, ny=16, tree_depth=8,
+                              frozen_operators={0: "difference"}))
+    rng = np.random.default_rng(3)
+    model.gradients(model.forward(rng.random(model.n)))
+    z = rng.random(model.n)
+    tracemalloc.start()
+    try:
+        state = model.forward(z)
+        model.gradients(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tape_bytes = sum(getattr(state.tape, name).nbytes for name in TAPE_FIELDS)
+    assert tape_bytes > 10 << 20
+    assert peak < tape_bytes / 4
+
+
+@pytest.mark.parametrize("sides", [3, 8])
+def test_reused_workspace_equals_a_fresh_model(sides):
+    # 8 primitives in blocks of 7: the last block is ragged
+    spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides,
+                       frozen_operators={1: "union"})
+    model = Model(spec)
+    per_block = geometry._BLOCK_DOUBLES // (sides * model.grid.n_cells)
+    assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
+    rng = np.random.default_rng(8)
+    z0 = rng.random(model.n)
+    walk = [z0, moved(z0, 2, 0.05), rng.random(model.n), np.array(z0)]
+    for z in walk:
+        state = model.forward(z)
+        got = model.gradients(state)
+        fresh = Model(spec)
+        want_state = fresh.forward(z)
+        want = fresh.gradients(want_state)
+        assert (state.J, state.g_v) == (want_state.J, want_state.g_v)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(state.node_values, want_state.node_values)
+        for name in TAPE_FIELDS:
+            assert np.array_equal(getattr(state.tape, name),
+                                  getattr(want_state.tape, name)), name
+
+
+def test_gradients_of_a_stale_state_raise(small_spec):
+    model = Model(small_spec)
+    z = initialize(small_spec)
+    first = model.forward(z)
+    second = model.forward(moved(z, 0, 0.1))
+    with pytest.raises(ValueError, match="stale"):
+        model.gradients(first)
+    model.gradients(second)
+    # a one-shot pass runs its own forward, and a state of another Model
+    # never matches this one's arrays
+    model.forward_gradients(z)
+    with pytest.raises(ValueError, match="stale"):
+        model.gradients(second)
+    with pytest.raises(ValueError, match="stale"):
+        model.gradients(Model(small_spec).forward(z))
+
+
 # -- optimization loop ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
