@@ -33,7 +33,7 @@ formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -290,6 +290,10 @@ class ProjectionTape:
                    np.empty((n_p, n_cells)), np.empty((n_p, n_cells)),
                    np.empty((n_p, sides, n_cells)), np.empty((n_p, n_cells)),
                    np.empty((n_p, n_cells)))
+
+    def __getitem__(self, primitives: slice) -> "ProjectionTape":
+        """The tape of a slice of the primitives, as views of these arrays."""
+        return ProjectionTape(*(getattr(self, f.name)[primitives] for f in fields(self)))
 
     @property
     def block(self) -> int:

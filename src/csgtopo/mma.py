@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MmaConfig", "MmaState", "mma_update", "kkt_residual"]
+__all__ = ["MmaConfig", "MmaState", "is_finite_real", "mma_update", "kkt_residual"]
+
+
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:           # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,7 @@ class MmaConfig:
         for name in ("move_limit", "kkt_tol", "step_tol", "asymptote_init",
                      "asymptote_incr", "asymptote_decr", "slack_penalty"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0 < self.move_limit <= 1:
             raise ValueError(f"move_limit must lie in (0, 1], got {self.move_limit}")

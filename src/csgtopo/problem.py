@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csg, fea, geometry, sensitivity
-from .mma import MmaConfig, MmaState, kkt_residual, mma_update
+from .mma import MmaConfig, MmaState, is_finite_real, kkt_residual, mma_update
 
 __all__ = [
     "BENCHMARKS",
@@ -68,10 +68,6 @@ class SolverAbort(RuntimeError):
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -163,15 +159,12 @@ class ProblemSpec:
         for name in ("lx", "ly", "e0", "emin", "penalty", "nu", "vf_star", "gamma",
                      "beta", "lse_scale", "softmax_scale"):
             value = getattr(self, name)
-            if value is not None and not _is_real(value):
-                fail(name, f"must be a number, got {value!r}")
-            if value is not None and not math.isfinite(value):
-                fail(name, f"must be finite, got {value!r}")
+            if value is not None and not is_finite_real(value):
+                fail(name, f"must be a finite number, got {value!r}")
         for name in ("cx_bounds", "cy_bounds", "theta_bounds", "d_bounds"):
             pair = getattr(self, name)
             if pair is not None and not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                                         and all(_is_real(v) and math.isfinite(v)
-                                                 for v in pair)):
+                                         and all(map(is_finite_real, pair))):
                 fail(name, f"expected a [lo, hi] pair of finite numbers, got {pair!r}")
         if not isinstance(self.frozen_operators, dict):
             fail("frozen_operators", "expected a dict mapping node to operator, "
@@ -183,13 +176,25 @@ class ProblemSpec:
             fail("fixed_dofs", f"expected a list of integer dofs, got {self.fixed_dofs!r}")
         if self.loads is not None and not (isinstance(self.loads, (list, tuple)) and all(
                 isinstance(load, (list, tuple)) and len(load) == 2 and _is_int(load[0])
-                and _is_real(load[1]) and math.isfinite(load[1]) for load in self.loads)):
+                and is_finite_real(load[1]) for load in self.loads)):
             fail("loads", "expected [dof, value] pairs of an integer and a finite "
                  f"number, got {self.loads!r}")
         if self.seed < 0:
             fail("seed", f"must be >= 0, got {self.seed}")
         if self.nx < 1 or self.ny < 1:
             fail("nx/ny", f"mesh must have positive element counts, got {self.nx}x{self.ny}")
+        if self.tree_depth < 1:
+            fail("tree_depth", f"must be >= 1, got {self.tree_depth}")
+        if self.sides < 3:
+            fail("sides", f"must be >= 3, got {self.sides}")
+        # checked before anything is allocated or converted to float, and the
+        # depth before 2^depth is formed: the projection tape is the largest
+        # array of a run, 2^depth * sides * nx * ny doubles
+        if (self.tree_depth > MAX_TAPE_DOUBLES.bit_length()
+                or self.n_primitives * self.sides * self.nx * self.ny > MAX_TAPE_DOUBLES):
+            fail("tree_depth", f"the projection tape of 2^{self.tree_depth} primitives x "
+                 f"{self.sides} sides x {self.nx}x{self.ny} cells is over the budget of "
+                 f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
         if self.domain_lx <= 0 or self.domain_ly <= 0:
             fail("lx/ly", "domain lengths must be positive")
         if self.e0 <= 0:
@@ -202,18 +207,6 @@ class ProblemSpec:
             fail("nu", f"must lie in (0, 0.5), got {self.nu}")
         if not 0 < self.vf_star <= 1:
             fail("vf_star", f"must lie in (0, 1], got {self.vf_star}")
-        if self.tree_depth < 1:
-            fail("tree_depth", f"must be >= 1, got {self.tree_depth}")
-        if self.sides < 3:
-            fail("sides", f"must be >= 3, got {self.sides}")
-        # checked before anything is allocated: the projection tape is the
-        # largest array of a run, 2^depth * sides * nx * ny doubles
-        tape = self.n_primitives * self.sides * self.nx * self.ny
-        if tape > MAX_TAPE_DOUBLES:
-            fail("tree_depth", f"the projection tape of 2^{self.tree_depth} primitives "
-                 f"x {self.sides} sides x {self.nx}x{self.ny} cells is {tape:.3g} "
-                 f"doubles, over the budget of {MAX_TAPE_DOUBLES} (512 MiB); "
-                 "lower tree_depth, sides, nx or ny")
         for name in ("gamma", "beta", "lse_scale", "softmax_scale"):
             if not getattr(self, name) > 0:
                 fail(name, f"must be positive, got {getattr(self, name)}")
@@ -289,7 +282,7 @@ def initialize(spec: ProblemSpec) -> np.ndarray:
 
 
 class Model:
-    """Executable form of a ProblemSpec: mesh, grid, tree layout, forward pass."""
+    """Executable form of a ProblemSpec: mesh, grid, tree layout, cached forward pass."""
 
     def __init__(self, spec: ProblemSpec):
         spec.validate()
@@ -314,9 +307,6 @@ class Model:
         self.n = spec.design_size
         self.full_size = spec.full_size
         self.full_to_free = self._build_index_map()
-        # evaluate's projected primitives: parameter rows and their leaf fields
-        self._leaf_rows: np.ndarray | None = None
-        self._leaf_fields: np.ndarray | None = None
         # what forward and gradients fill, allocated on first use, and the
         # one ForwardState whose arrays it holds
         self._work: _Workspace | None = None
@@ -391,23 +381,21 @@ class Model:
         """Full forward pass keeping the intermediates the gradients need.
 
         The tape and node fields are written into the Model's workspace, so
-        the state returned is valid until the next forward on this Model.
+        the state returned is valid until the next forward or evaluate on
+        this Model.
         """
         t0 = time.perf_counter()
-        self._state = None          # any earlier state's arrays get overwritten
         rows, weights = self._denormalize_rows(z)
-        work = self._workspace()
-        leaf_values = work.node_values[self.spec.n_operators:]
-        _, tape = geometry.rasterize_with_tape(rows, self.grid, self.cfg,
-                                               out=(leaf_values, work.tape))
+        work = self._project(rows)
         t1 = time.perf_counter()
-        node_values = csg.evaluate_tree_values(weights, leaf_values, out=work.node_values,
-                                               scratch=work.tree)
+        node_values = csg.evaluate_tree_values(
+            weights, work.node_values[self.spec.n_operators:], out=work.node_values,
+            scratch=work.tree)
         t2 = time.perf_counter()
         _, u, j_val, g_v = self._solve(node_values)
         t3 = time.perf_counter()
         self._state = sensitivity.ForwardState(
-            weights=weights, tape=tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
+            weights=weights, tape=work.tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
             timings={"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2},
         )
         return self._state
@@ -445,12 +433,31 @@ class Model:
                          (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
         return out[0], out[1]
 
-    def _workspace(self) -> "_Workspace":
+    def _project(self, rows: np.ndarray) -> "_Workspace":
+        """The workspace, filled with the leaf fields and tape of these rows.
+
+        Only the span from the first to the last primitive whose row differs,
+        bit for bit, from the recorded rows is projected: all of them in the
+        optimizer, one for a geometry entry of a finite difference, none for
+        an operator entry.  Any earlier state goes stale; the rows are
+        recorded only once their fields are written.
+        """
+        self._state = None
         if self._work is None:
             n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
             tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, n_cells)
             self._work = _Workspace(tape, np.empty((2 * n_p - 1, n_cells)))
-        return self._work
+        work = self._work
+        changed = (np.arange(len(rows)) if work.rows is None else np.flatnonzero(
+            (rows.view(np.int64) != work.rows.view(np.int64)).any(axis=1)))
+        if changed.size:
+            span = slice(changed[0], changed[-1] + 1)
+            work.rows = None
+            geometry.rasterize_with_tape(
+                rows[span], self.grid, self.cfg,
+                out=(work.node_values[self.spec.n_operators:][span], work.tape[span]))
+            work.rows = rows
+        return work
 
     def _release(self) -> None:
         """Drop the workspace and the state it backs, for one-shot callers."""
@@ -463,28 +470,9 @@ class Model:
         return root, u, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
 
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
-        """(J, g_v) only; used by finite differencing.
-
-        A primitive's field depends only on its own row (cx, cy, theta, d),
-        so the leaf fields of the previous call are kept and only the
-        primitives whose row differs from it, bit for bit, are projected
-        again: one for a geometry entry of a central difference, none for
-        an operator entry.  A row is stored only after its field is, so a
-        call that raises leaves rows and fields matching.
-        """
-        rows, weights = self._denormalize_rows(z)
-        known = self._leaf_rows
-        changed = (np.arange(len(rows)) if known is None else np.flatnonzero(
-            (rows.view(np.int64) != known.view(np.int64)).any(axis=1)))
-        if changed.size:
-            fields = geometry.rasterize_with_tape(rows[changed], self.grid, self.cfg)[0]
-            if known is None:
-                self._leaf_fields, self._leaf_rows = fields, rows
-            else:
-                self._leaf_fields[changed] = fields
-                known[changed] = rows[changed]
-        _, _, j_val, g_v = self._solve(csg.evaluate_tree_values(weights, self._leaf_fields))
-        return j_val, g_v
+        """(J, g_v) of forward, for finite differencing; any earlier state goes stale."""
+        state = self.forward(z)
+        return state.J, state.g_v
 
     def forward_gradients(self, z: np.ndarray):
         """(J, g_v, dJ/dz, dg_v/dz) in one pass; the workspace is dropped after."""
@@ -508,6 +496,7 @@ class _Workspace:
 
     tape: geometry.ProjectionTape
     node_values: np.ndarray             # (n_nodes, n_cells), root in row 0
+    rows: np.ndarray | None = None      # (n_p, 3 + S) rows the leaf fields hold
     tree: np.ndarray | None = None      # csg.walk_scratch for two seeds
     chain: np.ndarray | None = None     # projection_param_grad's, for two seeds
 
@@ -623,11 +612,9 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
     tree = csg.CsgTree(model.spec.tree_depth, weights, model.frozen)
     # the last projection fills the loop's workspace, which the Model then
     # drops: nothing of the size of the tape is allocated again
-    work = model._workspace()
+    node_values = model._project(rows).node_values
     model._release()
-    node_values = work.node_values
     leaf_values = node_values[model.spec.n_operators:]
-    geometry.rasterize_with_tape(rows, model.grid, model.cfg, out=(leaf_values, work.tape))
 
     def solve_tree(t: csg.CsgTree):
         try:

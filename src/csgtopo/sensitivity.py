@@ -5,11 +5,11 @@ Compliance is self-adjoint, so its field sensitivity is
     dJ/drho_e = -p (E0 - Emin) rho_e^(p-1) * u_e . K0 . u_e
 
 per element (grad_compliance).  Model.gradients stacks that seed and the
-constant volume seed (grad_volume) into one (2, n_cells) array and pulls both back together: one walk down the
-Boolean tree, one pass through the batched projection tape of all
-primitives, then the softmax operator encoding and the affine
-de-normalization of the design vector.  A central finite-difference harness
-verifies any entry of either gradient.
+constant volume seed (grad_volume) into one (2, n_cells) array and pulls
+both back together: one walk down the Boolean tree, one pass through the
+batched projection tape of all primitives, then the softmax operator
+encoding and the affine de-normalization of the design vector.  A
+central finite-difference harness verifies any entry of either gradient.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ForwardState:
 
     The gradients require a completed pass: tape, node_values and u must
     all be present.  tape and node_values are arrays of the Model's
-    workspace, valid until the next forward pass on that Model.
+    workspace, valid until the next forward or evaluate on that Model.
     """
 
     weights: np.ndarray                  # (n_internal, 4)

@@ -127,6 +127,16 @@ def test_effective_config_round_trips(tmp_path):
     ({"cx_bounds": ["1", "2"]}, [], "cx_bounds"),
     ({"frozen_operators": {"0": "union", "00": "difference"}}, [], "frozen_operators"),
     ({"frozen_operators": []}, [], "frozen_operators"),
+    # integers too large for a float; the tape check runs before nx, ny or
+    # sides is converted to one, and bounds the depth before 2^depth is formed
+    ({"tree_depth": 1100}, [], "tree_depth"),
+    ({"sides": 10 ** 400}, [], "tree_depth"),
+    ({"nx": 10 ** 400}, [], "tree_depth"),
+    ({"lx": 10 ** 400}, [], "lx"),
+    ({"e0": 10 ** 400}, [], "e0"),
+    ({"cx_bounds": [0, 10 ** 400]}, [], "cx_bounds"),
+    ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, 10 ** 400]]}, [], "loads"),
+    ({"mma": {"move_limit": 10 ** 400}}, [], "mma"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
     # a mistyped or non-finite value exits 1 with an error naming its field

@@ -268,9 +268,9 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
     projected = []
     original = geometry.rasterize_with_tape
 
-    def rasterize(rows, grid, cfg):
+    def rasterize(rows, grid, cfg, out=None):
         projected.append(np.array(rows))
-        return original(rows, grid, cfg)
+        return original(rows, grid, cfg, out=out)
 
     monkeypatch.setattr(geometry, "rasterize_with_tape", rasterize)
     i, j = 2, 1
@@ -304,28 +304,46 @@ def test_forward_leaf_fields_equal_one_polygon_projections(sides):
                                                                  model.cfg).values)
 
 
-@pytest.mark.parametrize("failure", ["wrong_size", "projection", "solve"])
+@pytest.mark.parametrize("failure", ["wrong_size", "projection", "projection_after_write",
+                                     "solve"])
 def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
     model = Model(quick_spec())
     z0 = initialize(model.spec)
-    model.evaluate(z0)
     z1 = moved(z0, 3 * model.spec.n_primitives + 5)
-    if failure == "wrong_size":
-        with pytest.raises(ValueError):
-            model.evaluate(z1[:-1])
-    else:
-        def fail(*args, **kwargs):
-            raise fea.SingularSystemError("injected")
+    original = geometry.rasterize_with_tape
 
-        target = ((geometry, "rasterize_with_tape") if failure == "projection"
-                  else (fea, "analyze"))
-        with monkeypatch.context() as patch:
-            patch.setattr(*target, fail)
-            with pytest.raises(fea.SingularSystemError):
-                model.evaluate(z1)
-    for z in (z1, z0):
-        state = model.forward(z)
-        assert model.evaluate(z) == (state.J, state.g_v)
+    def fail(*args, **kwargs):
+        raise fea.SingularSystemError("injected")
+
+    def fail_after_write(rows, grid, cfg, out=None):
+        # a projection that has written its outputs, here garbage, and then raises
+        rho, tape = original(rows, grid, cfg, out=out)
+        rho.fill(np.nan)
+        for name in TAPE_FIELDS:
+            getattr(tape, name).fill(np.nan)
+        raise fea.SingularSystemError("injected")
+
+    # the fields the failed call left are read first by a call at its own
+    # design, then by one at the design before it
+    for after in ((z1, z0), (z0, z1)):
+        model.evaluate(z0)
+        if failure == "wrong_size":
+            with pytest.raises(ValueError):
+                model.evaluate(z1[:-1])
+        else:
+            target = {"projection": (geometry, "rasterize_with_tape", fail),
+                      "projection_after_write": (geometry, "rasterize_with_tape",
+                                                 fail_after_write),
+                      "solve": (fea, "analyze", fail)}[failure]
+            with monkeypatch.context() as patch:
+                patch.setattr(*target)
+                with pytest.raises(fea.SingularSystemError):
+                    model.evaluate(z1)
+        for z in after:
+            want = Model(model.spec).forward(z)
+            assert model.evaluate(z) == (want.J, want.g_v)
+            state = model.forward(z)
+            assert (state.J, state.g_v) == (want.J, want.g_v)
 
 
 # -- the forward and gradient workspace ----------------------------------------------
@@ -365,6 +383,10 @@ def test_reused_workspace_equals_a_fresh_model(sides):
     rng = np.random.default_rng(8)
     z0 = rng.random(model.n)
     walk = [z0, moved(z0, 2, 0.05), rng.random(model.n), np.array(z0)]
+    # primitives 1 and 6 moved: the span re-projected holds four that did
+    # not; then an operator entry alone, which re-projects none
+    walk.append(moved(moved(z0, 1, 0.05), 3 * spec.n_primitives + 6 * sides, 0.05))
+    walk.append(moved(walk[-1], model.n - 1, 0.05))
     for z in walk:
         state = model.forward(z)
         got = model.gradients(state)
@@ -379,7 +401,7 @@ def test_reused_workspace_equals_a_fresh_model(sides):
                                   getattr(want_state.tape, name)), name
 
 
-def test_gradients_of_a_stale_state_raise(small_spec):
+def test_gradients_of_a_stale_state_raise(small_spec, monkeypatch):
     model = Model(small_spec)
     z = initialize(small_spec)
     first = model.forward(z)
@@ -394,6 +416,23 @@ def test_gradients_of_a_stale_state_raise(small_spec):
         model.gradients(second)
     with pytest.raises(ValueError, match="stale"):
         model.gradients(Model(small_spec).forward(z))
+    # evaluate is a forward pass too, also at the state's own design
+    third = model.forward(z)
+    model.evaluate(z)
+    with pytest.raises(ValueError, match="stale"):
+        model.gradients(third)
+
+    def fail(*args, **kwargs):
+        raise fea.SingularSystemError("injected")
+
+    # a forward that fails after projecting has overwritten the arrays as well
+    fourth = model.forward(z)
+    with monkeypatch.context() as patch:
+        patch.setattr(fea, "analyze", fail)
+        with pytest.raises(fea.SingularSystemError):
+            model.forward(moved(z, 0, 0.1))
+    with pytest.raises(ValueError, match="stale"):
+        model.gradients(fourth)
 
 
 # -- optimization loop ---------------------------------------------------------------
