@@ -94,7 +94,9 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a file that is not UTF-8, an integer past
+        # Python's int-string limit, or nesting deeper than the recursion limit
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 

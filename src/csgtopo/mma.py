@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MmaConfig", "MmaState", "is_finite_real", "mma_update", "kkt_residual"]
+__all__ = ["MmaConfig", "MmaState", "is_finite_real", "is_int", "mma_update",
+           "kkt_residual"]
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_finite_real(value) -> bool:
@@ -41,25 +46,18 @@ class MmaConfig:
     kkt_tol: float = 1e-3
     step_tol: float = 1e-3
     max_iter: int = 200
-    asymptote_init: float = 0.5
-    asymptote_incr: float = 1.2
-    asymptote_decr: float = 0.7
-    slack_penalty: float = 1000.0
 
     def __post_init__(self):
         # a config document can carry any JSON value, Infinity included
-        if isinstance(self.max_iter, bool) \
-                or not isinstance(self.max_iter, numbers.Integral):
+        if not is_int(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        for name in ("move_limit", "kkt_tol", "step_tol", "asymptote_init",
-                     "asymptote_incr", "asymptote_decr", "slack_penalty"):
+        for name in ("move_limit", "kkt_tol", "step_tol"):
             value = getattr(self, name)
             if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0 < self.move_limit <= 1:
             raise ValueError(f"move_limit must lie in (0, 1], got {self.move_limit}")
-        for name in ("kkt_tol", "step_tol", "asymptote_init", "asymptote_incr",
-                     "asymptote_decr", "slack_penalty"):
+        for name in ("kkt_tol", "step_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -93,8 +91,12 @@ class MmaState:
 _RAA0 = 1e-5
 _BOUND_GAP = 0.1      # keep alpha/beta this fraction inside the asymptotes
 _INNER_MOVE = 0.5     # step cap within the already move-limited box
+_ASY_INIT = 0.5       # Svanberg's asymptote factors: first distance, in box
+_ASY_INCR = 1.2       # ranges, then expand after two steps the same way and
+_ASY_DECR = 0.7       # contract after a reversal
 _ASY_MIN = 0.01       # clamp factors on asymptote distance, in box ranges
 _ASY_MAX = 10.0
+_SLACK_PENALTY = 1000.0   # linear cost of the constraint's slack variable
 _BOUND_TOL = 1e-12    # an entry this close to 0 or 1 counts as on the bound
 
 
@@ -134,13 +136,13 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
 
     k = state.iteration + 1
     if k <= 2 or state.low is None:
-        low = x - cfg.asymptote_init * rng
-        upp = x + cfg.asymptote_init * rng
+        low = x - _ASY_INIT * rng
+        upp = x + _ASY_INIT * rng
     else:
         osc = (x - state.x_prev) * (state.x_prev - state.x_prev2)
         fac = np.ones(n)
-        fac[osc > 0] = cfg.asymptote_incr
-        fac[osc < 0] = cfg.asymptote_decr
+        fac[osc > 0] = _ASY_INCR
+        fac[osc < 0] = _ASY_DECR
         low = x - fac * (state.x_prev - state.low)
         upp = x + fac * (state.upp - state.x_prev)
         low = np.clip(low, x - _ASY_MAX * rng, x - _ASY_MIN * rng)
@@ -155,7 +157,6 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
     p1, q1 = _rational_coefficients(dg, ux, xl, rng)
     # constraint approximation equals g_val at x, so its subproblem offset is:
     b1 = float((p1 / ux + q1 / xl).sum()) - g_val
-    c = cfg.slack_penalty
 
     def x_of(lam: float) -> np.ndarray:
         ps = np.sqrt(p0 + lam * p1)
@@ -164,7 +165,7 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
         return np.minimum(np.maximum((low * ps + upp * qs) / (ps + qs), alpha), beta)
 
     def slack_of(lam: float) -> float:
-        return max(0.0, lam - c)
+        return max(0.0, lam - _SLACK_PENALTY)
 
     def dual_grad(lam: float) -> float:
         xs = x_of(lam)
@@ -189,7 +190,8 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
     slack = slack_of(lam)
 
     def merit(xv: np.ndarray, y: float) -> float:
-        return float((p0 / (upp - xv) + q0 / (xv - low)).sum()) + c * y + 0.5 * y * y
+        return (float((p0 / (upp - xv) + q0 / (xv - low)).sum())
+                + _SLACK_PENALTY * y + 0.5 * y * y)
 
     new_state = MmaState(
         iteration=k,

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import csg, fea, geometry, sensitivity
-from .mma import MmaConfig, MmaState, is_finite_real, kkt_residual, mma_update
+from .mma import MmaConfig, MmaState, is_finite_real, is_int, kkt_residual, mma_update
 
 __all__ = [
     "BENCHMARKS",
@@ -66,8 +65,12 @@ class SolverAbort(RuntimeError):
         return (SolverAbort, (self.args[0], self.history, self.z, self.iteration))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _shown(n: int) -> str:
+    """n in full, or ~2^bits when it has more than about 15 digits: a huge
+    int is slow to print, and past 4300 digits Python refuses to."""
+    if n.bit_length() <= 48:
+        return str(n)
+    return f"{'~-2' if n < 0 else '~2'}^{n.bit_length()}"
 
 
 @dataclass
@@ -154,7 +157,7 @@ class ProblemSpec:
         # any comparison below can raise a bare TypeError
         for name in ("nx", "ny", "tree_depth", "sides", "seed"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 fail(name, f"must be an integer, got {value!r}")
         for name in ("lx", "ly", "e0", "emin", "penalty", "nu", "vf_star", "gamma",
                      "beta", "lse_scale", "softmax_scale"):
@@ -172,28 +175,30 @@ class ProblemSpec:
         if not isinstance(self.mma, MmaConfig):
             fail("mma", f"expected an MmaConfig, got {self.mma!r}")
         if self.fixed_dofs is not None and not (isinstance(self.fixed_dofs, (list, tuple))
-                                                and all(map(_is_int, self.fixed_dofs))):
+                                                and all(map(is_int, self.fixed_dofs))):
             fail("fixed_dofs", f"expected a list of integer dofs, got {self.fixed_dofs!r}")
         if self.loads is not None and not (isinstance(self.loads, (list, tuple)) and all(
-                isinstance(load, (list, tuple)) and len(load) == 2 and _is_int(load[0])
+                isinstance(load, (list, tuple)) and len(load) == 2 and is_int(load[0])
                 and is_finite_real(load[1]) for load in self.loads)):
             fail("loads", "expected [dof, value] pairs of an integer and a finite "
                  f"number, got {self.loads!r}")
         if self.seed < 0:
-            fail("seed", f"must be >= 0, got {self.seed}")
+            fail("seed", f"must be >= 0, got {_shown(self.seed)}")
         if self.nx < 1 or self.ny < 1:
-            fail("nx/ny", f"mesh must have positive element counts, got {self.nx}x{self.ny}")
+            fail("nx/ny", "mesh must have positive element counts, got "
+                 f"{_shown(self.nx)}x{_shown(self.ny)}")
         if self.tree_depth < 1:
-            fail("tree_depth", f"must be >= 1, got {self.tree_depth}")
+            fail("tree_depth", f"must be >= 1, got {_shown(self.tree_depth)}")
         if self.sides < 3:
-            fail("sides", f"must be >= 3, got {self.sides}")
+            fail("sides", f"must be >= 3, got {_shown(self.sides)}")
         # checked before anything is allocated or converted to float, and the
         # depth before 2^depth is formed: the projection tape is the largest
         # array of a run, 2^depth * sides * nx * ny doubles
         if (self.tree_depth > MAX_TAPE_DOUBLES.bit_length()
                 or self.n_primitives * self.sides * self.nx * self.ny > MAX_TAPE_DOUBLES):
-            fail("tree_depth", f"the projection tape of 2^{self.tree_depth} primitives x "
-                 f"{self.sides} sides x {self.nx}x{self.ny} cells is over the budget of "
+            fail("tree_depth", f"the projection tape of 2^{_shown(self.tree_depth)} "
+                 f"primitives x {_shown(self.sides)} sides x "
+                 f"{_shown(self.nx)}x{_shown(self.ny)} cells is over the budget of "
                  f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
         if self.domain_lx <= 0 or self.domain_ly <= 0:
             fail("lx/ly", "domain lengths must be positive")
@@ -215,11 +220,11 @@ class ProblemSpec:
             if not lo < hi:
                 fail(f"{name}_bounds", f"lower bound must be below upper, got {pair}")
         for node, op in self.frozen_operators.items():
-            if not _is_int(node):
+            if not is_int(node):
                 fail("frozen_operators", f"node {node!r} is not an integer")
             if not 0 <= node < self.n_operators:
                 fail("frozen_operators",
-                     f"node {node} out of range for depth {self.tree_depth}")
+                     f"node {_shown(node)} out of range for depth {self.tree_depth}")
             if op not in csg.OPERATOR_NAMES:
                 fail("frozen_operators",
                      f"unknown operator {op!r}; valid: {', '.join(csg.OPERATOR_NAMES)}")
@@ -240,7 +245,7 @@ class ProblemSpec:
                     fail(name, "must not be empty")
                 for dof in dofs:
                     if not 0 <= dof < ndof:
-                        fail(name, f"dof {dof} out of range [0, {ndof})")
+                        fail(name, f"dof {_shown(dof)} out of range [0, {ndof})")
             if all(value == 0 for _, value in self.loads):
                 fail("loads", "every load value is zero, so the compliance is zero")
             dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from csgtopo import cli
 from csgtopo.cli import main
-from csgtopo.problem import Model, SolverAbort
+from csgtopo.mma import MmaConfig
+from csgtopo.problem import Model, ProblemSpec, SolverAbort
 
 QUICK = {
     "nx": 12, "ny": 6, "tree_depth": 2, "sides": 4,
@@ -137,6 +139,9 @@ def test_effective_config_round_trips(tmp_path):
     ({"cx_bounds": [0, 10 ** 400]}, [], "cx_bounds"),
     ({"benchmark": None, "fixed_dofs": [0, 1], "loads": [[13, 10 ** 400]]}, [], "loads"),
     ({"mma": {"move_limit": 10 ** 400}}, [], "mma"),
+    # the subproblem's asymptote and slack factors are constants, not settings
+    ({"mma": {"asymptote_init": 0.5}}, [], "mma"),
+    ({"mma": {"slack_penalty": 1000.0}}, [], "mma"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
     # a mistyped or non-finite value exits 1 with an error naming its field
@@ -145,6 +150,49 @@ def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, f
     assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sides": 10 ** 400},
+    {"nx": 10 ** 400},
+    {"benchmark": None, "fixed_dofs": [0, 1], "loads": [[10 ** 400, -1.0]]},
+])
+def test_huge_integers_are_not_printed_in_full(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, {**QUICK, **overrides})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 300
+
+
+@pytest.mark.parametrize("content", [
+    b'{"seed": ' + b"1" * 5000 + b"}",     # past Python's int-string limit
+    b"[" * 100_000,                        # past the recursion limit
+    b"\xff\xfe{}",                        # not UTF-8
+], ids=["long-int", "deep-nesting", "utf16-bom"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "o"],
+    ["check-grad"],
+    ["sweep", "--param", "seed", "--values", "1", "--out", "s"],
+], ids=["run", "check-grad", "sweep"])
+def test_unparseable_config_exits_1_without_traceback(tmp_path, capsys, monkeypatch,
+                                                     content, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_bytes(content)
+    assert main([*argv, "--config", "config.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: invalid JSON in ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+
+def test_readme_config_block_is_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert set(doc) == {f.name for f in dataclasses.fields(ProblemSpec)}
+    assert set(doc["mma"]) == {f.name for f in dataclasses.fields(MmaConfig)}
+    effective = cli.spec_to_dict(cli.config_from_dict(doc))
+    assert set(effective) == set(doc)
+    assert set(effective["mma"]) == set(doc["mma"])
 
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):

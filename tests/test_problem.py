@@ -47,6 +47,10 @@ def test_default_spec_matches_documented_values():
     # MmaConfig; a wrong one must not pass and then fail inside optimize
     ("frozen_operators", [1]), ("frozen_operators", None),
     ("mma", {"max_iter": 3}), ("mma", None),
+    # integers too long to print: Python refuses past 4300 digits
+    *(pytest.param(field, -10 ** 5000, id=f"{field}--10**5000")
+      for field in ("seed", "tree_depth", "sides")),
+    ("frozen_operators", {10 ** 5000: "union"}),
 ])
 def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
@@ -58,6 +62,8 @@ def test_spec_validation_names_field(field, value):
     {"tree_depth": 30},
     {"tree_depth": 10, "sides": 4, "nx": 129, "ny": 128},    # one column over
     {"tree_depth": 1, "sides": 3, "nx": 10 ** 6, "ny": 10 ** 6},
+    # integers too long to print, which the message must not try to
+    {"sides": 10 ** 5000}, {"nx": 10 ** 5000}, {"tree_depth": 10 ** 5000},
 ])
 def test_oversized_tape_is_rejected_before_allocation(overrides):
     spec = ProblemSpec(**overrides)
