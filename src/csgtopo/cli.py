@@ -67,7 +67,7 @@ def config_from_dict(doc: dict) -> ProblemSpec:
             raise ConfigError(f"mma: unknown keys: {', '.join(sorted(bad))}")
         try:
             kwargs["mma"] = MmaConfig(**sub)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"mma: {exc}") from exc
     else:
         kwargs["mma"] = MmaConfig()

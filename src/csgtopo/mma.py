@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["MmaConfig", "MmaState", "is_finite_real", "is_int", "mma_update",
-           "kkt_residual"]
+__all__ = ["MmaConfig", "MmaState", "field_error", "is_finite_real", "is_int",
+           "mma_update", "kkt_residual", "ranged", "shown"]
 
 
 def is_int(value) -> bool:
@@ -40,28 +40,62 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def shown(value, nested: bool = False) -> str:
+    """value as an error message prints it: an int of more than about 15
+    digits as ~2^bits (a huge int is slow to print, and past 4300 digits
+    Python refuses to), a string cut at 40 characters, a list of up to four
+    entries one level deep, and any other object by its type."""
+    if is_int(value):
+        bits = int(value).bit_length()
+        return str(value) if bits <= 48 else f"{'~-2' if value < 0 else '~2'}^{bits}"
+    if isinstance(value, (list, tuple)) and len(value) <= 4 and not nested:
+        return f"[{', '.join(shown(entry, nested=True) for entry in value)}]"
+    if value is not None and not isinstance(value, (bool, float, str)):
+        return f"a {type(value).__name__}"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def ranged(interval: str, default):
+    """A dataclass field whose value must lie in interval, written the
+    mathematical way: "(0, 1]", "[3, inf)".  field_error checks it."""
+    ends = tuple(float(end) for end in interval[1:-1].split(","))
+    return field(default=default, metadata={"range": interval, "ends": ends})
+
+
+def field_error(obj) -> str | None:
+    """'name: reason' for the first ranged field of dataclass obj that breaks
+    its rule, else None.  The rule's type is the annotation's text (these
+    modules postpone annotations): "int" takes an integer that is not a bool,
+    "float" a finite real, and "float | None" also None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if "range" not in f.metadata or (value is None and optional == "None"):
+            continue
+        admits, noun = ((is_int, "an integer") if kind == "int"
+                        else (is_finite_real, "a finite number"))
+        if not admits(value):
+            return f"{f.name}: must be {noun}, got {shown(value)}"
+        interval, (lo, hi) = f.metadata["range"], f.metadata["ends"]
+        if not ((lo <= value if interval[0] == "[" else lo < value)
+                and (value <= hi if interval[-1] == "]" else value < hi)):
+            return f"{f.name}: must lie in {interval}, got {shown(value)}"
+    return None
+
+
 @dataclass(frozen=True)
 class MmaConfig:
-    move_limit: float = 0.05
-    kkt_tol: float = 1e-3
-    step_tol: float = 1e-3
-    max_iter: int = 200
+    move_limit: float = ranged("(0, 1]", 0.05)
+    kkt_tol: float = ranged("(0, inf)", 1e-3)
+    step_tol: float = ranged("(0, inf)", 1e-3)
+    max_iter: int = ranged("[1, inf)", 200)
 
     def __post_init__(self):
         # a config document can carry any JSON value, Infinity included
-        if not is_int(self.max_iter):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        for name in ("move_limit", "kkt_tol", "step_tol"):
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not 0 < self.move_limit <= 1:
-            raise ValueError(f"move_limit must lie in (0, 1], got {self.move_limit}")
-        for name in ("kkt_tol", "step_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        error = field_error(self)
+        if error:
+            raise ValueError(error)
 
 
 @dataclass(eq=False)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csg, fea, geometry, sensitivity
-from .mma import MmaConfig, MmaState, is_finite_real, is_int, kkt_residual, mma_update
+from .mma import (MmaConfig, MmaState, field_error, is_finite_real, is_int, kkt_residual,
+                  mma_update, ranged, shown)
 
 __all__ = [
     "BENCHMARKS",
@@ -65,14 +66,6 @@ class SolverAbort(RuntimeError):
         return (SolverAbort, (self.args[0], self.history, self.z, self.iteration))
 
 
-def _shown(n: int) -> str:
-    """n in full, or ~2^bits when it has more than about 15 digits: a huge
-    int is slow to print, and past 4300 digits Python refuses to."""
-    if n.bit_length() <= 48:
-        return str(n)
-    return f"{'~-2' if n < 0 else '~2'}^{n.bit_length()}"
-
-
 @dataclass
 class ProblemSpec:
     """Full configuration of one optimization run.
@@ -84,27 +77,27 @@ class ProblemSpec:
     are locked and dropped from the design vector.
     """
 
-    nx: int = 60
-    ny: int = 30
-    lx: float | None = None
-    ly: float | None = None
-    e0: float = 1.0
-    emin: float | None = None
-    penalty: float = 3.0
-    nu: float = 0.3
-    vf_star: float = 0.5
-    tree_depth: int = 4
-    sides: int = 6
-    gamma: float = 100.0
-    beta: float = 8.0
-    lse_scale: float = 100.0
-    softmax_scale: float = 4.0
+    nx: int = ranged("[1, inf)", 60)
+    ny: int = ranged("[1, inf)", 30)
+    lx: float | None = ranged("(0, inf)", None)
+    ly: float | None = ranged("(0, inf)", None)
+    e0: float = ranged("(0, inf)", 1.0)
+    emin: float | None = ranged("(0, inf)", None)
+    penalty: float = ranged("[1, inf)", 3.0)
+    nu: float = ranged("(0, 0.5)", 0.3)
+    vf_star: float = ranged("(0, 1]", 0.5)
+    tree_depth: int = ranged("[1, inf)", 4)
+    sides: int = ranged("[3, inf)", 6)
+    gamma: float = ranged("(0, inf)", 100.0)
+    beta: float = ranged("(0, inf)", 8.0)
+    lse_scale: float = ranged("(0, inf)", 100.0)
+    softmax_scale: float = ranged("(0, inf)", 4.0)
     cx_bounds: tuple[float, float] | None = None
     cy_bounds: tuple[float, float] | None = None
     theta_bounds: tuple[float, float] | None = None
     d_bounds: tuple[float, float] | None = None
     frozen_operators: dict[int, str] = field(default_factory=dict)
-    seed: int = 2
+    seed: int = ranged("[0, inf)", 2)
     mma: MmaConfig = field(default_factory=MmaConfig)
     benchmark: str | None = "mbb"
     fixed_dofs: list[int] | None = None
@@ -153,84 +146,56 @@ class ProblemSpec:
         def fail(name, detail):
             raise ConfigError(f"{name}: {detail}")
 
-        # a config document can carry any JSON value; check types before
-        # any comparison below can raise a bare TypeError
-        for name in ("nx", "ny", "tree_depth", "sides", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                fail(name, f"must be an integer, got {value!r}")
-        for name in ("lx", "ly", "e0", "emin", "penalty", "nu", "vf_star", "gamma",
-                     "beta", "lse_scale", "softmax_scale"):
-            value = getattr(self, name)
-            if value is not None and not is_finite_real(value):
-                fail(name, f"must be a finite number, got {value!r}")
+        # a config document can carry any JSON value; the scalar fields'
+        # types and ranges first, so no comparison below can raise
+        error = field_error(self)
+        if error:
+            raise ConfigError(error)
         for name in ("cx_bounds", "cy_bounds", "theta_bounds", "d_bounds"):
             pair = getattr(self, name)
             if pair is not None and not (isinstance(pair, (list, tuple)) and len(pair) == 2
                                          and all(map(is_finite_real, pair))):
-                fail(name, f"expected a [lo, hi] pair of finite numbers, got {pair!r}")
+                fail(name, f"expected a [lo, hi] pair of finite numbers, got {shown(pair)}")
         if not isinstance(self.frozen_operators, dict):
-            fail("frozen_operators", "expected a dict mapping node to operator, "
-                 f"got {self.frozen_operators!r}")
+            fail("frozen_operators", f"expected a dict, got {shown(self.frozen_operators)}")
         if not isinstance(self.mma, MmaConfig):
-            fail("mma", f"expected an MmaConfig, got {self.mma!r}")
-        if self.fixed_dofs is not None and not (isinstance(self.fixed_dofs, (list, tuple))
-                                                and all(map(is_int, self.fixed_dofs))):
-            fail("fixed_dofs", f"expected a list of integer dofs, got {self.fixed_dofs!r}")
-        if self.loads is not None and not (isinstance(self.loads, (list, tuple)) and all(
-                isinstance(load, (list, tuple)) and len(load) == 2 and is_int(load[0])
-                and is_finite_real(load[1]) for load in self.loads)):
-            fail("loads", "expected [dof, value] pairs of an integer and a finite "
-                 f"number, got {self.loads!r}")
-        if self.seed < 0:
-            fail("seed", f"must be >= 0, got {_shown(self.seed)}")
-        if self.nx < 1 or self.ny < 1:
-            fail("nx/ny", "mesh must have positive element counts, got "
-                 f"{_shown(self.nx)}x{_shown(self.ny)}")
-        if self.tree_depth < 1:
-            fail("tree_depth", f"must be >= 1, got {_shown(self.tree_depth)}")
-        if self.sides < 3:
-            fail("sides", f"must be >= 3, got {_shown(self.sides)}")
+            fail("mma", f"expected an MmaConfig, got {shown(self.mma)}")
+        if self.fixed_dofs is not None and not isinstance(self.fixed_dofs, (list, tuple)):
+            fail("fixed_dofs", f"expected a list of dofs, got {shown(self.fixed_dofs)}")
+        if self.loads is not None and not isinstance(self.loads, (list, tuple)):
+            fail("loads", f"expected a list of [dof, value] pairs, got {shown(self.loads)}")
+        for dof in self.fixed_dofs or ():
+            if not is_int(dof):
+                fail("fixed_dofs", f"dof {shown(dof)} is not an integer")
+        for load in self.loads or ():
+            if not (isinstance(load, (list, tuple)) and len(load) == 2 and is_int(load[0])
+                    and is_finite_real(load[1])):
+                fail("loads", f"{shown(load)} is not an integer dof and a finite value")
         # checked before anything is allocated or converted to float, and the
         # depth before 2^depth is formed: the projection tape is the largest
         # array of a run, 2^depth * sides * nx * ny doubles
         if (self.tree_depth > MAX_TAPE_DOUBLES.bit_length()
                 or self.n_primitives * self.sides * self.nx * self.ny > MAX_TAPE_DOUBLES):
-            fail("tree_depth", f"the projection tape of 2^{_shown(self.tree_depth)} "
-                 f"primitives x {_shown(self.sides)} sides x "
-                 f"{_shown(self.nx)}x{_shown(self.ny)} cells is over the budget of "
+            fail("tree_depth", f"the projection tape of 2^{shown(self.tree_depth)} "
+                 f"primitives x {shown(self.sides)} sides x "
+                 f"{shown(self.nx)}x{shown(self.ny)} cells is over the budget of "
                  f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
-        if self.domain_lx <= 0 or self.domain_ly <= 0:
-            fail("lx/ly", "domain lengths must be positive")
-        if self.e0 <= 0:
-            fail("e0", f"must be positive, got {self.e0}")
         if not 0 < self.resolved_emin < self.e0:
-            fail("emin", f"must satisfy 0 < emin < e0, got {self.resolved_emin}")
-        if self.penalty < 1:
-            fail("penalty", f"must be >= 1, got {self.penalty}")
-        if not 0 < self.nu < 0.5:
-            fail("nu", f"must lie in (0, 0.5), got {self.nu}")
-        if not 0 < self.vf_star <= 1:
-            fail("vf_star", f"must lie in (0, 1], got {self.vf_star}")
-        for name in ("gamma", "beta", "lse_scale", "softmax_scale"):
-            if not getattr(self, name) > 0:
-                fail(name, f"must be positive, got {getattr(self, name)}")
-        for name, pair in self.bounds().items():
-            lo, hi = pair
+            fail("emin", f"must satisfy 0 < emin < e0, got {shown(self.resolved_emin)}")
+        for name, (lo, hi) in self.bounds().items():
             if not lo < hi:
-                fail(f"{name}_bounds", f"lower bound must be below upper, got {pair}")
+                fail(f"{name}_bounds", "lower bound must be below upper, got "
+                     f"{shown(lo)} and {shown(hi)}")
         for node, op in self.frozen_operators.items():
-            if not is_int(node):
-                fail("frozen_operators", f"node {node!r} is not an integer")
-            if not 0 <= node < self.n_operators:
-                fail("frozen_operators",
-                     f"node {_shown(node)} out of range for depth {self.tree_depth}")
+            if not (is_int(node) and 0 <= node < self.n_operators):
+                fail("frozen_operators", f"node {shown(node)} is not an integer in "
+                     f"[0, {self.n_operators}) for depth {self.tree_depth}")
             if op not in csg.OPERATOR_NAMES:
-                fail("frozen_operators",
-                     f"unknown operator {op!r}; valid: {', '.join(csg.OPERATOR_NAMES)}")
+                fail("frozen_operators", f"unknown operator {shown(op)}; "
+                     f"valid: {', '.join(csg.OPERATOR_NAMES)}")
         if self.benchmark is not None and self.benchmark not in BENCHMARKS:
-            fail("benchmark",
-                 f"unknown benchmark {self.benchmark!r}; valid: {', '.join(BENCHMARKS)}")
+            fail("benchmark", f"unknown benchmark {shown(self.benchmark)}; "
+                 f"valid: {', '.join(BENCHMARKS)}")
         if self.benchmark is None and (self.fixed_dofs is None or self.loads is None):
             fail("benchmark", "either a benchmark name or explicit fixed_dofs "
                  "and loads must be given")
@@ -245,15 +210,15 @@ class ProblemSpec:
                     fail(name, "must not be empty")
                 for dof in dofs:
                     if not 0 <= dof < ndof:
-                        fail(name, f"dof {_shown(dof)} out of range [0, {ndof})")
+                        fail(name, f"dof {shown(dof)} out of range [0, {ndof})")
             if all(value == 0 for _, value in self.loads):
                 fail("loads", "every load value is zero, so the compliance is zero")
             dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})
             if dups:
-                fail("loads", f"dof {dups[0]} is loaded more than once")
+                fail("loads", f"dof {shown(dups[0])} is loaded more than once")
             on_fixed = sorted(set(load_dofs).intersection(self.fixed_dofs))
             if on_fixed:
-                fail("loads", f"dof {on_fixed[0]} is also in fixed_dofs")
+                fail("loads", f"dof {shown(on_fixed[0])} is also in fixed_dofs")
 
 
 def builtin_problem(name: str, nx: int, ny: int) -> fea.BoundaryConditions:
@@ -276,7 +241,7 @@ def builtin_problem(name: str, nx: int, ny: int) -> fea.BoundaryConditions:
         loads = {2 * (nx * n_col + ny // 2) + 1: -1.0}   # right edge mid node
     else:
         raise ConfigError(
-            f"benchmark: unknown benchmark {name!r}; valid: {', '.join(BENCHMARKS)}")
+            f"benchmark: unknown benchmark {shown(name)}; valid: {', '.join(BENCHMARKS)}")
     return fea.BoundaryConditions(np.array(fixed), loads)
 
 

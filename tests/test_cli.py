@@ -3,13 +3,15 @@ import dataclasses
 import json
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from csgtopo import cli
 from csgtopo.cli import main
 from csgtopo.mma import MmaConfig
-from csgtopo.problem import Model, ProblemSpec, SolverAbort
+from csgtopo.problem import ConfigError, Model, ProblemSpec, SolverAbort
 
 QUICK = {
     "nx": 12, "ny": 6, "tree_depth": 2, "sides": 4,
@@ -193,6 +195,66 @@ def test_readme_config_block_is_the_schema():
     effective = cli.spec_to_dict(cli.config_from_dict(doc))
     assert set(effective) == set(doc)
     assert set(effective["mma"]) == set(doc["mma"])
+
+
+def test_readme_ranges_are_the_fields_rules():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    types = {"integer": "int", "number": "float", "number or null": "float | None"}
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, kind, interval = (cell.strip() for cell in line.strip("|").split("|"))
+            for name in names.split(", "):
+                documented[name.strip("`")] = (types[kind], interval.strip("`"))
+    declared = {f"{prefix}{f.name}": (f.type, f.metadata["range"])
+                for prefix, cls in (("", ProblemSpec), ("mma.", MmaConfig))
+                for f in dataclasses.fields(cls) if "range" in f.metadata}
+    assert len(declared) == 20
+    assert documented == declared
+
+
+# the names a ConfigError may start with when one field holds a bad value:
+# the field itself; tree_depth for a factor of the projection tape's budget;
+# the fields whose defaults come from the drawn one; and benchmark, whose
+# rule forbids explicit boundary conditions beside a benchmark name
+ALSO_NAMED = {
+    "nx": {"tree_depth"}, "ny": {"tree_depth"}, "sides": {"tree_depth", "theta_bounds"},
+    "e0": {"emin"}, "lx": {"cx_bounds", "d_bounds"}, "ly": {"cy_bounds"},
+    "fixed_dofs": {"benchmark"}, "loads": {"benchmark"},
+}
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              # past a float's range, and past Python's int-string limit
+              st.builds(lambda sign, digits: sign * 10 ** digits,
+                        st.sampled_from([1, -1]), st.sampled_from([400, 5000])),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+CONFIG_KEYS = [*(f.name for f in dataclasses.fields(ProblemSpec)),
+               *(f"mma.{f.name}" for f in dataclasses.fields(MmaConfig))]
+
+
+@hypothesis.given(key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+@hypothesis.example(key="nx", value=0)
+@hypothesis.example(key="lx", value=0.0)
+@hypothesis.example(key="fixed_dofs", value=[10 ** 5000, "a"])
+@hypothesis.example(key="loads", value=[[13, 10 ** 5000]])
+@hypothesis.example(key="frozen_operators", value={"0": 10 ** 5000})
+@hypothesis.example(key="cx_bounds", value=[0, 10 ** 5000])
+@hypothesis.example(key="mma.move_limit", value=10 ** 5000)
+def test_any_value_of_one_field_is_a_spec_or_names_the_field(key, value):
+    if key.startswith("mma."):
+        doc, allowed = {**QUICK, "mma": {**QUICK["mma"], key[4:]: value}}, {"mma"}
+    else:
+        doc, allowed = {**QUICK, key: value}, {key, *ALSO_NAMED.get(key, ())}
+    try:
+        spec = cli.config_from_dict(doc)
+    except ConfigError as exc:
+        assert str(exc).split(": ", 1)[0] in allowed, str(exc)
+    else:
+        assert isinstance(spec, ProblemSpec)
 
 
 def test_run_solver_failure_exit_code(tmp_path, capsys):

@@ -127,3 +127,5 @@ def test_config_validation():
         MmaConfig(kkt_tol=-1.0)
     with pytest.raises(ValueError):
         MmaConfig(max_iter=0)
+    with pytest.raises(ValueError, match="^move_limit: "):
+        MmaConfig(move_limit=10 ** 5000)

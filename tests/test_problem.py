@@ -51,11 +51,40 @@ def test_default_spec_matches_documented_values():
     *(pytest.param(field, -10 ** 5000, id=f"{field}--10**5000")
       for field in ("seed", "tree_depth", "sides")),
     ("frozen_operators", {10 ** 5000: "union"}),
+    pytest.param("lx", 10 ** 5000, id="lx-10**5000"),
+    pytest.param("e0", 10 ** 5000, id="e0-10**5000"),
+    ("cx_bounds", [0, 10 ** 5000]), ("frozen_operators", {0: 10 ** 5000}),
+    ("loads", [(13, 10 ** 5000)]), ("fixed_dofs", [10 ** 5000, "a"]),
+    # one field per message, never two fused
+    ("nx", 0), ("ny", 0), ("lx", 0.0), ("ly", -1.0),
 ])
 def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
     with pytest.raises(ConfigError, match=f"^{field}: "):
         spec.validate()
+
+
+def test_field_types_come_from_the_annotations():
+    # an int field takes no float, even a whole one; a float field takes an int
+    with pytest.raises(ConfigError, match="^nx: must be an integer, got 60.0$"):
+        ProblemSpec(nx=60.0).validate()
+    ProblemSpec(e0=1).validate()
+    with pytest.raises(ConfigError, match="^e0: must be a finite number, got True$"):
+        ProblemSpec(e0=True).validate()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("fixed_dofs", [10 ** 5000, "a"], "fixed_dofs: dof 'a' is not an integer"),
+    ("loads", [(13, -1.0), (15, 10 ** 5000)],
+     "loads: [15, ~2^16610] is not an integer dof and a finite value"),
+    ("cx_bounds", ["x" * 100, 1.0], "cx_bounds: expected a [lo, hi] pair of finite "
+     f"numbers, got ['{'x' * 36}..., 1.0]"),
+], ids=["fixed_dofs", "loads", "cx_bounds"])
+def test_message_shows_the_bad_entry_briefly(field, value, message):
+    spec = dataclasses.replace(ProblemSpec(), **{field: value})
+    with pytest.raises(ConfigError) as info:
+        spec.validate()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("overrides", [
