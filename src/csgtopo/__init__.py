@@ -17,6 +17,6 @@ from .mma import MmaConfig, MmaState, kkt_residual, mma_update
 from .problem import (BENCHMARKS, ConfigError, Model, OptimizeResult, ProblemSpec,
                       RunHistory, SolverAbort, builtin_problem, initialize,
                       optimize)
-from .sensitivity import ForwardState, fd_check
+from .sensitivity import fd_check
 
 __version__ = "0.1.0"

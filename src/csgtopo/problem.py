@@ -186,6 +186,10 @@ class ProblemSpec:
             if not lo < hi:
                 fail(f"{name}_bounds", "lower bound must be below upper, got "
                      f"{shown(lo)} and {shown(hi)}")
+            # the span scales the design vector; an infinite one makes NaN rows
+            if not math.isfinite(hi - lo):
+                fail(f"{name}_bounds", "the span from lower to upper bound overflows "
+                     f"a float, got {shown(lo)} and {shown(hi)}")
         for node, op in self.frozen_operators.items():
             if not (is_int(node) and 0 <= node < self.n_operators):
                 fail("frozen_operators", f"node {shown(node)} is not an integer in "
@@ -277,10 +281,13 @@ class Model:
         self.n = spec.design_size
         self.full_size = spec.full_size
         self.full_to_free = self._build_index_map()
-        # what forward and gradients fill, allocated on first use, and the
-        # one ForwardState whose arrays it holds
+        # what forward and gradients fill, allocated on first use; the
+        # operator weights and displacements of the last forward that
+        # completed, None when there is none to differentiate
         self._work: _Workspace | None = None
-        self._state: sensitivity.ForwardState | None = None
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+        # seconds the last forward spent in projection, tree and solve
+        self.timings: dict[str, float] = {}
 
     # -- design-vector layout ----------------------------------------------
 
@@ -347,56 +354,53 @@ class Model:
 
     # -- forward evaluation --------------------------------------------------
 
-    def forward(self, z: np.ndarray) -> sensitivity.ForwardState:
-        """Full forward pass keeping the intermediates the gradients need.
+    def forward(self, z: np.ndarray) -> tuple[float, float]:
+        """(J, g_v) of z, keeping the intermediates gradients() needs.
 
-        The tape and node fields are written into the Model's workspace, so
-        the state returned is valid until the next forward or evaluate on
-        this Model.
+        The tape and node fields are written into the Model's workspace,
+        and the operator weights and displacements are kept on the Model.
         """
+        self._last = None
         t0 = time.perf_counter()
         rows, weights = self._denormalize_rows(z)
         work = self._project(rows)
         t1 = time.perf_counter()
-        node_values = csg.evaluate_tree_values(
-            weights, work.node_values[self.spec.n_operators:], out=work.node_values,
-            scratch=work.tree)
+        csg.evaluate_tree_values(weights, work.node_values[self.spec.n_operators:],
+                                 out=work.node_values, scratch=work.tree)
         t2 = time.perf_counter()
-        _, u, j_val, g_v = self._solve(node_values)
+        _, u, j_val, g_v = self._solve(work.node_values)
         t3 = time.perf_counter()
-        self._state = sensitivity.ForwardState(
-            weights=weights, tape=work.tape, node_values=node_values, u=u, J=j_val, g_v=g_v,
-            timings={"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2},
-        )
-        return self._state
+        self._last = weights, u
+        self.timings = {"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2}
+        return j_val, g_v
 
-    def gradients(self, state: sensitivity.ForwardState) -> tuple[np.ndarray, np.ndarray]:
-        """(dJ/dz, dg_v/dz) of a completed forward pass.
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dJ/dz, dg_v/dz) of the last forward that completed on this Model.
 
         Both field seeds are pulled back together as one (2, n_cells) stack:
-        one tree walk and one pass through the projection tape.  state must
-        come from the last forward on this Model; an older one raises.
+        one tree walk and one pass through the projection tape.  Raises
+        ValueError when no forward has run, when the last one raised, or
+        when forward_gradients has since dropped the workspace.
         """
-        if state is not self._state:
-            raise ValueError("stale forward state: a later forward pass on this "
-                             "Model has overwritten its arrays")
-        state.require_complete()
+        if self._last is None:
+            raise ValueError("no completed forward pass on this Model to differentiate")
+        weights, u = self._last
         work = self._work
         if work.tree is None:
             # allocated after the first solve, so they reuse the memory it freed
             n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
             work.tree = csg.walk_scratch(n_p, n_cells, 2)
-            work.chain = np.empty(4 * state.tape.block * n_cells)
+            work.chain = np.empty(4 * work.tape.block * n_cells)
         seeds = np.stack([
-            sensitivity.grad_compliance(state.u, state.field_values, self.mesh,
+            sensitivity.grad_compliance(u, work.node_values[0], self.mesh,
                                         self.material, self.k0),
             sensitivity.grad_volume(self.mesh, self.spec.vf_star)])
-        leaf_seeds, weight_grads = csg.tree_backward(state.weights, state.node_values,
+        leaf_seeds, weight_grads = csg.tree_backward(weights, work.node_values,
                                                      seeds, scratch=work.tree)
-        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(state.tape, leaf_seeds,
+        d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(work.tape, leaf_seeds,
                                                                scratch=work.chain)
         s = self.scales
-        b = state.weights[self.free_nodes]
+        b = weights[self.free_nodes]
         gb = weight_grads[:, self.free_nodes]
         d_b = self.spec.softmax_scale * b * (gb - np.vecdot(b, gb)[..., None])
         out = np.hstack([d_cx * s["cx"], d_cy * s["cy"], d_th * s["theta"],
@@ -409,10 +413,9 @@ class Model:
         Only the span from the first to the last primitive whose row differs,
         bit for bit, from the recorded rows is projected: all of them in the
         optimizer, one for a geometry entry of a finite difference, none for
-        an operator entry.  Any earlier state goes stale; the rows are
-        recorded only once their fields are written.
+        an operator entry.  The rows are recorded only once their fields
+        are written.
         """
-        self._state = None
         if self._work is None:
             n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
             tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, n_cells)
@@ -430,8 +433,8 @@ class Model:
         return work
 
     def _release(self) -> None:
-        """Drop the workspace and the state it backs, for one-shot callers."""
-        self._work = self._state = None
+        """Drop the workspace and the pass it holds, for one-shot callers."""
+        self._work = self._last = None
 
     def _solve(self, node_values: np.ndarray) -> tuple:
         """Clipped root field, displacements, J and g_v of the tree's node values."""
@@ -440,15 +443,13 @@ class Model:
         return root, u, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
 
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
-        """(J, g_v) of forward, for finite differencing; any earlier state goes stale."""
-        state = self.forward(z)
-        return state.J, state.g_v
+        """(J, g_v) of z: forward, under the name finite differencing uses."""
+        return self.forward(z)
 
     def forward_gradients(self, z: np.ndarray):
         """(J, g_v, dJ/dz, dg_v/dz) in one pass; the workspace is dropped after."""
         try:
-            state = self.forward(z)
-            return (state.J, state.g_v, *self.gradients(state))
+            return (*self.forward(z), *self.gradients())
         finally:
             self._release()
 
@@ -541,28 +542,32 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
     for it in range(1, cfg.max_iter + 1):
         t_start = time.perf_counter()
         try:
-            fwd = model.forward(z)
+            j_val, g_v = model.forward(z)
             t_grad0 = time.perf_counter()
-            dj, dg = model.gradients(fwd)
+            dj, dg = model.gradients()
             t_grad1 = time.perf_counter()
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, it) from exc
-        if not (math.isfinite(fwd.J) and math.isfinite(fwd.g_v)
+        if not (math.isfinite(j_val) and math.isfinite(g_v)
                 and np.isfinite(dj).all() and np.isfinite(dg).all()):
             raise SolverAbort("non-finite J, g_v or gradient", history, z, it)
-        z_new, state = mma_update(z, fwd.J, dj, fwd.g_v, dg, state, cfg)
+        # f.u of a loaded, supported structure is positive unless it underflows
+        if not j_val > 0:
+            raise SolverAbort(f"compliance J = {j_val:g} is not positive: it underflowed; "
+                              "scale the loads or e0 up", history, z, it)
+        z_new, state = mma_update(z, j_val, dj, g_v, dg, state, cfg)
         step = float(np.abs(z_new - z).max())
-        kkt = kkt_residual(z_new, dj, fwd.g_v, dg, state.lam)
+        kkt = kkt_residual(z_new, dj, g_v, dg, state.lam)
         t_end = time.perf_counter()
         history.append(IterationRecord(
-            iteration=it, J=fwd.J, g_v=fwd.g_v, kkt=kkt, step=step,
-            t_projection=fwd.timings["projection"], t_tree=fwd.timings["tree"],
-            t_fea_sens=fwd.timings["fea_sens"] + (t_grad1 - t_grad0),
+            iteration=it, J=j_val, g_v=g_v, kkt=kkt, step=step,
+            t_projection=model.timings["projection"], t_tree=model.timings["tree"],
+            t_fea_sens=model.timings["fea_sens"] + (t_grad1 - t_grad0),
             t_total=t_end - t_start, z=np.array(z),
         ))
         if callback is not None:
             callback(history.records[-1])
-        log.debug("iter %d: J=%.6g g=%.3e kkt=%.3e step=%.3e", it, fwd.J, fwd.g_v,
+        log.debug("iter %d: J=%.6g g=%.3e kkt=%.3e step=%.3e", it, j_val, g_v,
                   kkt, step)
         z = z_new
         if kkt < cfg.kkt_tol:

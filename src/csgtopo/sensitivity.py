@@ -4,56 +4,30 @@ Compliance is self-adjoint, so its field sensitivity is
 
     dJ/drho_e = -p (E0 - Emin) rho_e^(p-1) * u_e . K0 . u_e
 
-per element (grad_compliance).  Model.gradients stacks that seed and the
-constant volume seed (grad_volume) into one (2, n_cells) array and pulls
-both back together: one walk down the Boolean tree, one pass through the
-batched projection tape of all primitives, then the softmax operator
-encoding and the affine de-normalization of the design vector.  A
-central finite-difference harness verifies any entry of either gradient.
+per element (grad_compliance).  Model.gradients() differentiates the
+Model's last forward pass.  It stacks that seed and the constant volume
+seed (grad_volume) into one (2, n_cells) array and pulls both back
+together: one walk down the Boolean tree, one pass through the batched
+projection tape of all primitives, then the softmax operator encoding and
+the affine de-normalization of the design vector.  A central
+finite-difference harness verifies any entry of either gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fea, geometry
+from . import fea
 
 __all__ = [
-    "ForwardState",
     "FdEntry",
     "grad_compliance",
     "grad_volume",
     "fd_check",
     "central_difference",
 ]
-
-
-@dataclass(eq=False)
-class ForwardState:
-    """Everything one forward pass produced.
-
-    The gradients require a completed pass: tape, node_values and u must
-    all be present.  tape and node_values are arrays of the Model's
-    workspace, valid until the next forward or evaluate on that Model.
-    """
-
-    weights: np.ndarray                  # (n_internal, 4)
-    tape: geometry.ProjectionTape        # all primitives
-    node_values: np.ndarray              # (n_nodes, n_cells), root in row 0
-    u: np.ndarray                        # full-length displacements
-    J: float
-    g_v: float
-    timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def field_values(self) -> np.ndarray:
-        return self.node_values[0]
-
-    def require_complete(self):
-        if self.u is None or self.node_values is None or self.tape is None:
-            raise ValueError("forward state incomplete: run a full forward pass first")
 
 
 def grad_compliance(u: np.ndarray, rho: np.ndarray, mesh: fea.Mesh,
@@ -125,8 +99,9 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
     indices address the full design layout including frozen operator slots,
     each in [0, full_size); frozen entries come back marked skipped.  The
     report is sorted worst first.  model must offer evaluate(z) -> (J, g),
-    forward_gradients(z) -> (J, g, dJ, dg), full_size, full_to_free and
-    label_for_index.
+    which for a Model is forward(z); forward_gradients(z) -> (J, g, dJ, dg),
+    which is forward(z) followed by gradients(); full_size, full_to_free
+    and label_for_index.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")

@@ -144,6 +144,9 @@ def test_effective_config_round_trips(tmp_path):
     # the subproblem's asymptote and slack factors are constants, not settings
     ({"mma": {"asymptote_init": 0.5}}, [], "mma"),
     ({"mma": {"slack_penalty": 1000.0}}, [], "mma"),
+    # finite bounds whose span overflows a float
+    ({"theta_bounds": [-1e308, 1e308]}, [], "theta_bounds"),
+    ({"cx_bounds": [-1e308, 1e308]}, [], "cx_bounds"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
     # a mistyped or non-finite value exits 1 with an error naming its field
@@ -195,6 +198,18 @@ def test_readme_config_block_is_the_schema():
     effective = cli.spec_to_dict(cli.config_from_dict(doc))
     assert set(effective) == set(doc)
     assert set(effective["mma"]) == set(doc["mma"])
+
+
+def test_readme_gradient_loop_runs():
+    # the Library section's own loop, so the documented API cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+    loop = [b for b in blocks if ".gradients()" in b]
+    assert len(loop) == 1
+    namespace = {}
+    exec(loop[0], namespace)
+    assert np.isfinite(namespace["J"]) and namespace["J"] > 0
 
 
 def test_readme_ranges_are_the_fields_rules():
@@ -263,13 +278,26 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_underflowing_compliance_exits_2_with_history(tmp_path, capsys):
+    # J = f.u of a 1e-170 load is near 1e-340, below the smallest double: a
+    # run that read J = 0 would stop at once by the KKT test as if converged
+    doc = {"nx": 8, "ny": 4, "tree_depth": 1, "benchmark": None,
+           "fixed_dofs": [0, 2, 4, 6, 8, 81], "loads": [[9, -1e-170]],
+           "mma": {"max_iter": 5}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert "underflowed" in capsys.readouterr().err
+    assert (out / "history.csv").exists()
+
+
 def test_run_non_finite_gradient_exits_2_with_history(tmp_path, monkeypatch):
     calls = []
     original = Model.gradients
 
-    def gradients(self, state):
+    def gradients(self):
         calls.append(None)
-        dj, dg = original(self, state)
+        dj, dg = original(self)
         return (dj, np.full_like(dg, np.nan)) if len(calls) >= 3 else (dj, dg)
 
     monkeypatch.setattr(Model, "gradients", gradients)

@@ -57,6 +57,8 @@ def test_default_spec_matches_documented_values():
     ("loads", [(13, 10 ** 5000)]), ("fixed_dofs", [10 ** 5000, "a"]),
     # one field per message, never two fused
     ("nx", 0), ("ny", 0), ("lx", 0.0), ("ly", -1.0),
+    # finite bounds whose span is not: the design-vector scale would be inf
+    ("theta_bounds", [-1e308, 1e308]), ("cx_bounds", [-1e308, 1e308]),
 ])
 def test_spec_validation_names_field(field, value):
     spec = dataclasses.replace(ProblemSpec(), **{field: value})
@@ -291,8 +293,8 @@ def test_evaluate_equals_forward_bit_for_bit(name):
     walk.append(moved(walk[-1], model.n - 1))
     walk += [np.array(walk[-1]), rng.random(model.n), z0]
     for z in walk:
-        state = model.forward(z)
-        assert model.evaluate(z) == (state.J, state.g_v)
+        want = model.forward(z)
+        assert model.evaluate(z) == want
 
 
 def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
@@ -331,7 +333,8 @@ def test_forward_leaf_fields_equal_one_polygon_projections(sides):
     per_block = geometry._BLOCK_DOUBLES // (sides * model.grid.n_cells)
     assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
     z = initialize(spec)
-    leaves = model.forward(z).node_values[spec.n_operators:]
+    model.forward(z)
+    leaves = model._work.node_values[spec.n_operators:]
     params = model.denormalize(z)[0]
     assert len(leaves) == len(params) == spec.n_primitives
     for leaf, p in zip(leaves, params):
@@ -376,9 +379,8 @@ def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
                     model.evaluate(z1)
         for z in after:
             want = Model(model.spec).forward(z)
-            assert model.evaluate(z) == (want.J, want.g_v)
-            state = model.forward(z)
-            assert (state.J, state.g_v) == (want.J, want.g_v)
+            assert model.evaluate(z) == want
+            assert model.forward(z) == want
 
 
 # -- the forward and gradient workspace ----------------------------------------------
@@ -393,16 +395,17 @@ def test_forward_and_gradients_reuse_the_workspace():
     model = Model(ProblemSpec(nx=32, ny=16, tree_depth=8,
                               frozen_operators={0: "difference"}))
     rng = np.random.default_rng(3)
-    model.gradients(model.forward(rng.random(model.n)))
+    model.forward(rng.random(model.n))
+    model.gradients()
     z = rng.random(model.n)
     tracemalloc.start()
     try:
-        state = model.forward(z)
-        model.gradients(state)
+        model.forward(z)
+        model.gradients()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tape_bytes = sum(getattr(state.tape, name).nbytes for name in TAPE_FIELDS)
+    tape_bytes = sum(getattr(model._work.tape, name).nbytes for name in TAPE_FIELDS)
     assert tape_bytes > 10 << 20
     assert peak < tape_bytes / 4
 
@@ -423,51 +426,57 @@ def test_reused_workspace_equals_a_fresh_model(sides):
     walk.append(moved(moved(z0, 1, 0.05), 3 * spec.n_primitives + 6 * sides, 0.05))
     walk.append(moved(walk[-1], model.n - 1, 0.05))
     for z in walk:
-        state = model.forward(z)
-        got = model.gradients(state)
+        got_jg = model.forward(z)
+        got = model.gradients()
         fresh = Model(spec)
-        want_state = fresh.forward(z)
-        want = fresh.gradients(want_state)
-        assert (state.J, state.g_v) == (want_state.J, want_state.g_v)
+        want_jg = fresh.forward(z)
+        want = fresh.gradients()
+        assert got_jg == want_jg
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert np.array_equal(state.node_values, want_state.node_values)
+        assert np.array_equal(model._work.node_values, fresh._work.node_values)
         for name in TAPE_FIELDS:
-            assert np.array_equal(getattr(state.tape, name),
-                                  getattr(want_state.tape, name)), name
+            assert np.array_equal(getattr(model._work.tape, name),
+                                  getattr(fresh._work.tape, name)), name
 
 
-def test_gradients_of_a_stale_state_raise(small_spec, monkeypatch):
+def test_gradients_need_a_completed_forward(small_spec, monkeypatch):
     model = Model(small_spec)
     z = initialize(small_spec)
-    first = model.forward(z)
-    second = model.forward(moved(z, 0, 0.1))
-    with pytest.raises(ValueError, match="stale"):
-        model.gradients(first)
-    model.gradients(second)
-    # a one-shot pass runs its own forward, and a state of another Model
-    # never matches this one's arrays
+    z1 = moved(z, 0, 0.1)
+
+    def no_pass():
+        with pytest.raises(ValueError, match="no completed forward"):
+            model.gradients()
+
+    no_pass()
+    model.forward(z)
+    model.gradients()
+    # a one-shot pass drops the workspace it ran in
     model.forward_gradients(z)
-    with pytest.raises(ValueError, match="stale"):
-        model.gradients(second)
-    with pytest.raises(ValueError, match="stale"):
-        model.gradients(Model(small_spec).forward(z))
-    # evaluate is a forward pass too, also at the state's own design
-    third = model.forward(z)
-    model.evaluate(z)
-    with pytest.raises(ValueError, match="stale"):
-        model.gradients(third)
+    no_pass()
 
     def fail(*args, **kwargs):
         raise fea.SingularSystemError("injected")
 
-    # a forward that fails after projecting has overwritten the arrays as well
-    fourth = model.forward(z)
-    with monkeypatch.context() as patch:
-        patch.setattr(fea, "analyze", fail)
-        with pytest.raises(fea.SingularSystemError):
-            model.forward(moved(z, 0, 0.1))
-    with pytest.raises(ValueError, match="stale"):
-        model.gradients(fourth)
+    # a forward that raises leaves no pass, whether it raised before
+    # projecting, in the projection or in the solve
+    model.forward(z)
+    with pytest.raises(ValueError, match="design vector"):
+        model.forward(z1[:-1])
+    no_pass()
+    for target in ((geometry, "rasterize_with_tape"), (fea, "analyze")):
+        model.forward(z)
+        with monkeypatch.context() as patch:
+            patch.setattr(*target, fail)
+            with pytest.raises(fea.SingularSystemError):
+                model.forward(z1)
+        no_pass()
+    # evaluate is a forward too: the pass differentiated is z's, not z1's
+    model.forward(z1)
+    model.evaluate(z)
+    got = model.gradients()
+    want = Model(small_spec).forward_gradients(z)[2:]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # -- optimization loop ---------------------------------------------------------------
@@ -558,9 +567,9 @@ def test_optimize_aborts_on_non_finite_gradient(monkeypatch):
     calls = []
     original = Model.gradients
 
-    def gradients(self, state):
+    def gradients(self):
         calls.append(None)
-        dj, dg = original(self, state)
+        dj, dg = original(self)
         return (np.full_like(dj, np.nan), dg) if len(calls) >= 3 else (dj, dg)
 
     monkeypatch.setattr(Model, "gradients", gradients)

@@ -70,7 +70,8 @@ def test_saturated_outside_primitive_has_dead_gradients():
     z = np.full(spec.design_size, 0.5)
     z[0] = 0.0            # cx = -500: far outside
     z[1] = 0.95           # the partner primitive carries the load
-    dj, _ = model.gradients(model.forward(z))
+    model.forward(z)
+    dj, _ = model.gradients()
     n_p, s = 2, 4
     outside = [0, n_p, 2 * n_p, *range(3 * n_p, 3 * n_p + s)]
     assert max(abs(dj[i]) for i in outside) < 1e-12
@@ -81,7 +82,8 @@ def test_frozen_entries_are_excluded_and_reported_skipped(small_spec):
     model = Model(spec)
     assert spec.design_size == small_spec.design_size - 4
     z = initialize(spec)
-    dj, dg = model.gradients(model.forward(z))
+    model.forward(z)
+    dj, dg = model.gradients()
     assert dj.size == dg.size == spec.design_size
     geo = spec.n_primitives * (spec.sides + 3)
     entries = fd_check(model, z, indices=range(geo, geo + 4), step=1e-6)
@@ -104,19 +106,11 @@ def test_fully_saturated_design_has_vanishing_gradients():
                        frozen_operators={0: "union"})
     model = Model(spec)
     z = np.full(spec.design_size, 0.5)
-    state = model.forward(z)
-    assert state.field_values.min() > 1.0 - 1e-12
-    dj, dg = model.gradients(state)
+    model.forward(z)
+    assert model._work.node_values[0].min() > 1.0 - 1e-12
+    dj, dg = model.gradients()
     assert np.abs(dg).max() < 1e-8
     assert np.abs(dj).max() < 1e-8
-
-
-def test_gradients_require_complete_state(small_spec):
-    model = Model(small_spec)
-    state = model.forward(initialize(small_spec))
-    state.u = None
-    with pytest.raises(ValueError):
-        model.gradients(state)
 
 
 def test_adjoint_identity_in_density_space():
@@ -149,13 +143,13 @@ def test_descent_direction_decreases_compliance(small_spec):
         loads=[(d, 1e-3 * v) for d, v in bcs.loads.items()])
     model = Model(spec)
     z = connected_design(small_spec)
-    state = model.forward(z)
-    dj, _ = model.gradients(state)
+    j_val, _ = model.forward(z)
+    dj, _ = model.gradients()
     assert np.linalg.norm(dj) > 1e-6
     eta = 1e-4
     z_new = np.clip(z - eta * dj, 0.0, 1.0)
     j_new, _ = model.evaluate(z_new)
-    assert j_new <= state.J + 1e-8
+    assert j_new <= j_val + 1e-8
 
 
 def test_fd_step_sweep_shows_v_curve(small_spec):
