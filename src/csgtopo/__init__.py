@@ -7,9 +7,9 @@ from .csg import (CsgTree, OPERATOR_NAMES, PrunedTree, combine, combine_grad_ope
                   softmax_encode)
 # geometry before fea: loading scipy.special ahead of scipy.sparse and
 # scipy.linalg measured about 20 ms faster for a fresh `import csgtopo`
-from .geometry import (DensityField, PolygonParams, ProjectionConfig, SampleGrid,
-                       base_angles, halfspace_sdf, polygon_sdf, project_density,
-                       rasterize_primitive, threshold)
+from .geometry import (DensityField, PolygonParams, ProjectionConfig, base_angles,
+                       halfspace_sdf, polygon_sdf, project_density, rasterize_primitive,
+                       threshold)
 from .fea import (BoundaryConditions, Material, Mesh, SingularSystemError,
                   SolveResult, analyze, assemble, element_stiffness_template,
                   simp_modulus, solve, volume_constraint)

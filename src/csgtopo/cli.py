@@ -155,18 +155,18 @@ def write_timings(path: Path, history) -> None:
 
 def write_design_csv(path: Path, field) -> None:
     """Row-major densities, one grid row (fixed y) per line, full precision."""
-    grid = field.grid
-    rows = field.values.reshape(grid.ny, grid.nx)
+    mesh = field.mesh
+    rows = field.values.reshape(mesh.ny, mesh.nx)
     lines = [",".join(_fmt(v) for v in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_design_pgm(path: Path, field) -> None:
     """8-bit ASCII graymap, 255 = solid; image rows run top to bottom."""
-    grid = field.grid
-    pix = np.rint(255.0 * field.values.reshape(grid.ny, grid.nx)).astype(int)
+    mesh = field.mesh
+    pix = np.rint(255.0 * field.values.reshape(mesh.ny, mesh.nx)).astype(int)
     pix = np.clip(pix[::-1], 0, 255)
-    lines = ["P2", f"{grid.nx} {grid.ny}", "255"]
+    lines = ["P2", f"{mesh.nx} {mesh.ny}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in pix)
     _atomic_write(path, "\n".join(lines) + "\n")
 

@@ -1,9 +1,11 @@
 """Plane-stress FEA on a structured bilinear-quad mesh with SIMP material.
 
 Nodes are numbered column by column: node (i, j) of an nx-by-ny element mesh
-has index i*(ny+1) + j, with dofs (2n, 2n+1) for (x, y).  Element e = j*nx + i
-matches the sample-grid cell ordering, so a density field maps one-to-one
-onto element moduli.
+has index i*(ny+1) + j, with dofs (2n, 2n+1) for (x, y).  Elements are
+numbered row by row, x fastest: element e = j*nx + i has its centre at
+(xs[i], ys[j]) = ((i+0.5)*lx/nx, (j+0.5)*ly/ny).  The geometry projection
+samples its density fields at those centres in that order, so a field maps
+one-to-one onto element moduli.
 """
 
 from __future__ import annotations
@@ -82,6 +84,16 @@ class Mesh:
     @property
     def element_area(self) -> float:
         return self.ax * self.ay
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """x of the nx columns of element centres; element j*nx + i has x = xs[i]."""
+        return (np.arange(self.nx) + 0.5) * self.ax
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """y of the ny rows of element centres; element j*nx + i has y = ys[j]."""
+        return (np.arange(self.ny) + 0.5) * self.ay
 
     @cached_property
     def element_dofs(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Convex-polygon primitives and their projection onto grid density fields.
+"""Convex-polygon primitives and their projection onto mesh density fields.
 
 A primitive is the intersection of S >= 3 half-spaces arranged around a
 reference point.  Mapping a primitive to a density field runs the smooth
@@ -7,7 +7,8 @@ chain
     half-space signed distances -> LogSumExp max -> sigmoid -> threshold
 
 so the resulting field is differentiable in every polygon parameter.
-Signed distances are negative inside a shape.
+Signed distances are negative inside a shape.  A field holds one value per
+element of an fea.Mesh, sampled at its centre, in the order fea states.
 
 rasterize_with_tape runs the chain for all n_p primitives in one call on a
 sides-first (n_p, S, n_cells) array and keeps one batched ProjectionTape;
@@ -34,15 +35,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
 
+if TYPE_CHECKING:
+    from .fea import Mesh
+
 __all__ = [
     "PolygonParams",
     "ProjectionConfig",
-    "SampleGrid",
     "DensityField",
     "ProjectionTape",
     "base_angles",
@@ -133,64 +136,17 @@ class ProjectionConfig:
 
 
 @dataclass(eq=False)
-class SampleGrid:
-    """Element-center sample points of an nx-by-ny structured grid.
-
-    Point e = j*nx + i sits at ((i+0.5)*lx/nx, (j+0.5)*ly/ny); x varies
-    fastest (row-major with one row per j).
-    """
-
-    nx: int
-    ny: int
-    lx: float
-    ly: float
-
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid needs at least one cell per direction")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("grid lengths must be positive")
-
-    @property
-    def dx(self) -> float:
-        return self.lx / self.nx
-
-    @property
-    def dy(self) -> float:
-        return self.ly / self.ny
-
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
-
-    @cached_property
-    def xs(self) -> np.ndarray:
-        """x of the nx columns of cells; point e = j*nx + i has x = xs[i]."""
-        return (np.arange(self.nx) + 0.5) * self.dx
-
-    @cached_property
-    def ys(self) -> np.ndarray:
-        """y of the ny rows of cells; point e = j*nx + i has y = ys[j]."""
-        return (np.arange(self.ny) + 0.5) * self.dy
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        xx, yy = np.meshgrid(self.xs, self.ys)
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-@dataclass(eq=False)
 class DensityField:
-    """Per-cell densities in [0, 1] sampled on a grid."""
+    """Per-element densities in [0, 1] sampled at a mesh's element centres."""
 
     values: np.ndarray
-    grid: SampleGrid
+    mesh: Mesh
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
-        if values.size != self.grid.n_cells:
-            raise ValueError(
-                f"field has {values.size} values for a grid of {self.grid.n_cells} cells")
+        if values.size != self.mesh.n_elements:
+            raise ValueError(f"field has {values.size} values for a mesh "
+                             f"of {self.mesh.n_elements} elements")
         if (values < -_RANGE_TOL).any() or (values > 1.0 + _RANGE_TOL).any():
             raise ValueError("density values must lie in [0, 1]")
         self.values = np.clip(values, 0.0, 1.0)
@@ -308,7 +264,7 @@ def _blocks(n_p: int, step: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_p)) for lo in range(0, n_p, step)]
 
 
-def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid, cfg: ProjectionConfig,
+def rasterize_with_tape(rows: np.ndarray, mesh: Mesh, cfg: ProjectionConfig,
                         out: tuple[np.ndarray, ProjectionTape] | None = None
                         ) -> tuple[np.ndarray, ProjectionTape]:
     """Project n_p polygons with a common side count in one call.
@@ -320,21 +276,21 @@ def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid, cfg: ProjectionConfi
     of fresh arrays, so a caller that projects every iteration reuses one
     set.
 
-    The half-spaces are built from the grid's separable coordinates:
+    The half-spaces are built from the mesh's separable coordinates:
     (x_i - cx) cos on (S, nx) plus (y_j - cy) sin on (S, ny), broadcast
     into the (S, ny, nx) cells of each primitive.  Point e = j*nx + i has
     x = xs[i] and y = ys[j] exactly, so the terms are those of the
     per-cell products and the stack is the same bit for bit.
     """
     n_p, sides = rows.shape[0], rows.shape[1] - 3
-    nx, ny = grid.nx, grid.ny
-    rho, tape = out if out is not None else (np.empty((n_p, grid.n_cells)),
-                                             ProjectionTape.empty(n_p, sides, grid.n_cells))
+    nx, ny, n_cells = mesh.nx, mesh.ny, mesh.n_elements
+    rho, tape = out if out is not None else (np.empty((n_p, n_cells)),
+                                             ProjectionTape.empty(n_p, sides, n_cells))
     ang = rows[:, 2, None] + base_angles(sides)
     cos_a = np.cos(ang, out=tape.cos_a)
     sin_a = np.sin(ang, out=tape.sin_a)
-    rel_xs = grid.xs - rows[:, 0, None]             # (n_p, nx)
-    rel_ys = grid.ys - rows[:, 1, None]             # (n_p, ny)
+    rel_xs = mesh.xs - rows[:, 0, None]             # (n_p, nx)
+    rel_ys = mesh.ys - rows[:, 1, None]             # (n_p, ny)
     tape.rel_x.reshape(n_p, ny, nx, copy=False)[...] = rel_xs[:, None]
     tape.rel_y.reshape(n_p, ny, nx, copy=False)[...] = rel_ys[..., None]
     for b in _blocks(n_p, tape.block):
@@ -353,10 +309,10 @@ def rasterize_with_tape(rows: np.ndarray, grid: SampleGrid, cfg: ProjectionConfi
     return rho, tape
 
 
-def rasterize_primitive(p: PolygonParams, grid: SampleGrid,
+def rasterize_primitive(p: PolygonParams, mesh: Mesh,
                         cfg: ProjectionConfig) -> DensityField:
-    """Project one polygon onto the grid: threshold(sigmoid(polygon_sdf))."""
-    return DensityField(rasterize_with_tape(p.row[None], grid, cfg)[0][0], grid)
+    """Project one polygon onto the mesh: threshold(sigmoid(polygon_sdf))."""
+    return DensityField(rasterize_with_tape(p.row[None], mesh, cfg)[0][0], mesh)
 
 
 def projection_param_grad(tape: ProjectionTape, seed: np.ndarray,

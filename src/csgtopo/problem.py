@@ -256,14 +256,14 @@ def initialize(spec: ProblemSpec) -> np.ndarray:
 
 
 class Model:
-    """Executable form of a ProblemSpec: mesh, grid, tree layout, cached forward pass."""
+    """Executable form of a ProblemSpec: mesh, tree layout, cached forward pass."""
 
     def __init__(self, spec: ProblemSpec):
         spec.validate()
         self.spec = spec
         lx, ly = spec.domain_lx, spec.domain_ly
         self.mesh = fea.Mesh(spec.nx, spec.ny, lx, ly)
-        self.grid = geometry.SampleGrid(spec.nx, spec.ny, lx, ly)
+        self.grid = self.mesh  # the projection's sample grid, by the name callers read
         self.cfg = geometry.ProjectionConfig.for_domain(
             lx, ly, gamma=spec.gamma, beta=spec.beta, t=spec.lse_scale)
         self.material = fea.Material(spec.e0, spec.resolved_emin, spec.penalty, spec.nu)
@@ -388,7 +388,7 @@ class Model:
         work = self._work
         if work.tree is None:
             # allocated after the first solve, so they reuse the memory it freed
-            n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
+            n_p, n_cells = self.spec.n_primitives, self.mesh.n_elements
             work.tree = csg.walk_scratch(n_p, n_cells, 2)
             work.chain = np.empty(4 * work.tape.block * n_cells)
         seeds = np.stack([
@@ -417,7 +417,7 @@ class Model:
         are written.
         """
         if self._work is None:
-            n_p, n_cells = self.spec.n_primitives, self.grid.n_cells
+            n_p, n_cells = self.spec.n_primitives, self.mesh.n_elements
             tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, n_cells)
             self._work = _Workspace(tape, np.empty((2 * n_p - 1, n_cells)))
         work = self._work
@@ -427,7 +427,7 @@ class Model:
             span = slice(changed[0], changed[-1] + 1)
             work.rows = None
             geometry.rasterize_with_tape(
-                rows[span], self.grid, self.cfg,
+                rows[span], self.mesh, self.cfg,
                 out=(work.node_values[self.spec.n_operators:][span], work.tape[span]))
             work.rows = rows
         return work
@@ -551,6 +551,10 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
         if not (math.isfinite(j_val) and math.isfinite(g_v)
                 and np.isfinite(dj).all() and np.isfinite(dg).all()):
             raise SolverAbort("non-finite J, g_v or gradient", history, z, it)
+        # a zero residual here is no KKT point: nothing can move the design
+        if not (dj.any() or dg.any()):
+            raise SolverAbort("every gradient entry is zero, so the design cannot move "
+                              "(e.g. no primitive reaches the domain)", history, z, it)
         # f.u of a loaded, supported structure is positive unless it underflows
         if not j_val > 0:
             raise SolverAbort(f"compliance J = {j_val:g} is not positive: it underflowed; "
@@ -597,7 +601,7 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
                 csg.evaluate_tree_values(t.weights, leaf_values, out=node_values))
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
-        return geometry.DensityField(root, model.grid), j_val, g_v
+        return geometry.DensityField(root, model.mesh), j_val, g_v
 
     field, j_relaxed, g_relaxed = solve_tree(tree)
     snapped = tree.snapped()

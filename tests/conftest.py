@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from csgtopo import ProblemSpec
-from csgtopo.geometry import ProjectionConfig, SampleGrid
+from csgtopo.fea import Mesh
+from csgtopo.geometry import ProjectionConfig
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -23,7 +24,14 @@ def default_cfg():
 
 @pytest.fixture
 def default_grid():
-    return SampleGrid(60, 30, 60.0, 30.0)
+    return Mesh(60, 30, 60.0, 30.0)
+
+
+def cell_centers(mesh: Mesh) -> np.ndarray:
+    """(n_elements, 2) element centres in element order, e = j*nx + i at
+    ((i+0.5)*ax, (j+0.5)*ay): the points the projection samples."""
+    xx, yy = np.meshgrid(mesh.xs, mesh.ys)
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 @pytest.fixture

@@ -291,6 +291,17 @@ def test_run_underflowing_compliance_exits_2_with_history(tmp_path, capsys):
     assert (out / "history.csv").exists()
 
 
+def test_run_zero_gradient_exits_2_with_history(tmp_path, capsys):
+    # every primitive starts far outside the domain, so both gradients are
+    # exactly zero and the KKT residual with them: no convergence to report
+    doc = {"nx": 12, "ny": 6, "tree_depth": 2, "sides": 4, "cx_bounds": [1e300, 1e301]}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert "every gradient entry is zero" in capsys.readouterr().err
+    assert (out / "history.csv").exists()
+
+
 def test_run_non_finite_gradient_exits_2_with_history(tmp_path, monkeypatch):
     calls = []
     original = Model.gradients

@@ -9,8 +9,10 @@ from csgtopo.csg import (CsgTree, DIFFERENCE, INTERSECTION, NEGATIVE_DIFFERENCE,
                          combine_grad_operand, combine_grad_weights,
                          evaluate_pruned_values, evaluate_tree_values, one_hot,
                          prune, snap_to_onehot, softmax_encode, tree_backward)
-from csgtopo.geometry import (PolygonParams, ProjectionConfig, SampleGrid,
-                              halfspace_sdfs, rasterize_primitive)
+from conftest import cell_centers
+from csgtopo.fea import Mesh
+from csgtopo.geometry import (PolygonParams, ProjectionConfig, halfspace_sdfs,
+                              rasterize_primitive)
 
 TABLE = {
     INTERSECTION: lambda x, y: x * y,
@@ -455,7 +457,7 @@ def test_one_pass_prune_equals_fixpoint_reference(depth):
 # -- agreement with exact Boolean rasterization --------------------------------------
 
 def test_tree_matches_exact_boolean_oracle():
-    grid = SampleGrid(60, 30, 60.0, 30.0)
+    grid = Mesh(60, 30, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     rng = np.random.default_rng(12)
     ops = [UNION, DIFFERENCE, UNION]
@@ -466,7 +468,7 @@ def test_tree_matches_exact_boolean_oracle():
     leaves = np.vstack([rasterize_primitive(p, grid, cfg).values for p in polys])
     smooth = evaluate_tree_values(weights, leaves)[0] > 0.5
 
-    pts = grid.points
+    pts = cell_centers(grid)
     exact = [halfspace_sdfs(p, pts[:, 0], pts[:, 1]).max(axis=1) < 0 for p in polys]
     bool_ops = {UNION: np.logical_or, INTERSECTION: np.logical_and,
                 DIFFERENCE: lambda a, b: a & ~b,

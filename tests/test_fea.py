@@ -111,6 +111,28 @@ def test_k0_rejects_bad_inputs():
         element_stiffness_template(0.3, -1.0, 1.0)
 
 
+# -- mesh -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mesh", [Mesh(4, 4, 4.0, 4.0), Mesh(5, 3, 7.0, 2.0)],
+                         ids=["square", "5x3"])
+def test_element_centres_are_the_projection_sample_points(mesh):
+    # element e's four corner nodes average to (xs[e % nx], ys[e // nx]), so
+    # the field the projection samples maps one-to-one onto the elements
+    nodes = mesh.element_dofs[:, ::2] // 2
+    corners_x = nodes // (mesh.ny + 1) * mesh.ax
+    corners_y = nodes % (mesh.ny + 1) * mesh.ay
+    e = np.arange(mesh.n_elements)
+    assert np.allclose(corners_x.mean(axis=1), mesh.xs[e % mesh.nx], rtol=0, atol=1e-12)
+    assert np.allclose(corners_y.mean(axis=1), mesh.ys[e // mesh.nx], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("args", [(0, 3, 1.0, 1.0), (3, 0, 1.0, 1.0),
+                                  (3, 3, 0.0, 1.0), (3, 3, 1.0, -1.0)])
+def test_mesh_rejects_empty_or_non_positive_dimensions(args):
+    with pytest.raises(ValueError):
+        Mesh(*args)
+
+
 # -- assembly ---------------------------------------------------------------------
 
 def test_assemble_single_element_equals_scaled_k0():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import cell_centers
 from csgtopo import geometry
+from csgtopo.fea import Mesh
 from csgtopo.geometry import (DensityField, PolygonParams, ProjectionConfig,
-                              SampleGrid, base_angles, halfspace_sdf,
+                              base_angles, halfspace_sdf,
                               halfspace_sdfs, polygon_sdf, project_density,
                               projection_param_grad, rasterize_primitive,
                               rasterize_with_tape, threshold,
@@ -210,8 +212,8 @@ def test_rasterize_hexagon_cell_count(default_grid, default_cfg):
     field = rasterize_primitive(p, default_grid, default_cfg)
     count = int((field.values > 0.5).sum())
     area = 2.0 * math.sqrt(3.0) * 10.0 ** 2
-    cells_analytic = area / (default_grid.dx * default_grid.dy)
-    pts = default_grid.points
+    cells_analytic = area / (default_grid.ax * default_grid.ay)
+    pts = cell_centers(default_grid)
     inside = halfspace_sdfs(p, pts[:, 0], pts[:, 1]).max(axis=1) < 0
     assert abs(count - cells_analytic) <= 2
     assert abs(count - int(inside.sum())) <= 2
@@ -221,7 +223,7 @@ def test_rasterize_rotation_equivariance(default_grid, default_cfg):
     p0 = PolygonParams(30.0, 15.0, 0.0, np.array([4, 9, 6, 11, 8, 5], dtype=float))
     theta = 0.7
     p_rot = PolygonParams(30.0, 15.0, theta, p0.d)
-    pts = default_grid.points
+    pts = cell_centers(default_grid)
     # rotate sample points by -theta about the center and evaluate the
     # unrotated polygon there
     rel = pts - [p0.cx, p0.cy]
@@ -244,7 +246,7 @@ def test_rasterize_nonempty_interior(default_cfg, default_grid):
 
 def test_density_field_validation(default_grid):
     with pytest.raises(ValueError):
-        DensityField(np.full(default_grid.n_cells, 1.5), default_grid)
+        DensityField(np.full(default_grid.n_elements, 1.5), default_grid)
     with pytest.raises(ValueError):
         DensityField(np.zeros(7), default_grid)
 
@@ -252,11 +254,11 @@ def test_density_field_validation(default_grid):
 # -- parameter derivatives ---------------------------------------------------------
 
 def test_projection_param_grad_matches_fd():
-    grid = SampleGrid(12, 6, 60.0, 30.0)
+    grid = Mesh(12, 6, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     p = PolygonParams(25.0, 14.0, 0.35, np.array([9.0, 7.0, 10.0, 8.0]))
     rng = np.random.default_rng(5)
-    seed = rng.standard_normal(grid.n_cells)
+    seed = rng.standard_normal(grid.n_elements)
 
     _, tape = rasterize_with_tape(p.row[None], grid, cfg)
     d_cx, d_cy, d_th, d_d = projection_param_grad(tape, seed[None])
@@ -300,7 +302,7 @@ def rows_of(params):
 
 @pytest.mark.parametrize("sides", [3, 6])
 def test_batched_rasterize_equals_per_primitive(sides):
-    grid = SampleGrid(20, 10, 60.0, 30.0)
+    grid = Mesh(20, 10, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     params = random_polygons(np.random.default_rng(7), 9, sides, 60.0, 30.0)
     batched, _ = rasterize_with_tape(rows_of(params), grid, cfg)
@@ -309,19 +311,19 @@ def test_batched_rasterize_equals_per_primitive(sides):
 
 
 @pytest.mark.parametrize("sides,grid", [
-    *[pytest.param(s, SampleGrid(20, 10, 60.0, 30.0), id=str(s)) for s in (3, 4, 6)],
-    # odd nx and dx != dy: the separable half-space terms on non-square cells
-    *[pytest.param(s, SampleGrid(17, 5, 40.0, 30.0), id=f"17x5-{s}") for s in (3, 4, 6)],
+    *[pytest.param(s, Mesh(20, 10, 60.0, 30.0), id=str(s)) for s in (3, 4, 6)],
+    # odd nx and ax != ay: the separable half-space terms on non-square cells
+    *[pytest.param(s, Mesh(17, 5, 40.0, 30.0), id=f"17x5-{s}") for s in (3, 4, 6)],
 ])
 def test_sides_first_tape_matches_cells_first_reference(sides, grid):
     # the chain as it ran on an (n_cells, S) stack, summing the trailing axis
     cfg = ProjectionConfig.for_domain(grid.lx, grid.ly)
     params = random_polygons(np.random.default_rng(13), 7, sides, grid.lx, grid.ly)
     rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
-    assert tape.lse_weights.shape == (7, sides, grid.n_cells)
+    assert tape.lse_weights.shape == (7, sides, grid.n_elements)
     s = cfg.t / cfg.l0
     for i, p in enumerate(params):
-        phi_hat = halfspace_sdfs(p, grid.points[:, 0], grid.points[:, 1])
+        phi_hat = halfspace_sdfs(p, *cell_centers(grid).T)
         m = phi_hat.max(axis=-1)
         e = np.exp((phi_hat - m[:, None]) * s)
         z = np.sum(e, axis=-1)
@@ -336,11 +338,11 @@ def test_sides_first_tape_matches_cells_first_reference(sides, grid):
 def test_batched_pullback_rows_are_independent():
     # each (objective, primitive) row of the batched pullback only sees its
     # own seed and its own polygon: it equals a one-primitive, one-seed call
-    grid = SampleGrid(12, 6, 60.0, 30.0)
+    grid = Mesh(12, 6, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     rng = np.random.default_rng(11)
     params = random_polygons(rng, 5, 4, 60.0, 30.0)
-    seeds = rng.standard_normal((2, len(params), grid.n_cells))
+    seeds = rng.standard_normal((2, len(params), grid.n_elements))
     _, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):
@@ -355,14 +357,14 @@ def test_batched_pullback_rows_are_independent():
 def test_blocked_chain_equals_one_primitive_calls(sides):
     # 64x32 cells: a block holds fewer than the 7 primitives and the last
     # block is ragged, so block edges cross the batch
-    grid = SampleGrid(64, 32, 60.0, 30.0)
+    grid = Mesh(64, 32, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     n_p = 7
-    per_block = geometry._BLOCK_DOUBLES // (sides * grid.n_cells)
+    per_block = geometry._BLOCK_DOUBLES // (sides * grid.n_elements)
     assert 1 < per_block < n_p and n_p % per_block != 0
     rng = np.random.default_rng(17)
     params = random_polygons(rng, n_p, sides, 60.0, 30.0)
-    seeds = rng.standard_normal((2, n_p, grid.n_cells))
+    seeds = rng.standard_normal((2, n_p, grid.n_elements))
     rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):

@@ -330,7 +330,7 @@ def test_forward_leaf_fields_equal_one_polygon_projections(sides):
     # compliance read.  8 primitives in blocks of 7: the last block is ragged
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides)
     model = Model(spec)
-    per_block = geometry._BLOCK_DOUBLES // (sides * model.grid.n_cells)
+    per_block = geometry._BLOCK_DOUBLES // (sides * model.mesh.n_elements)
     assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
     z = initialize(spec)
     model.forward(z)
@@ -338,7 +338,7 @@ def test_forward_leaf_fields_equal_one_polygon_projections(sides):
     params = model.denormalize(z)[0]
     assert len(leaves) == len(params) == spec.n_primitives
     for leaf, p in zip(leaves, params):
-        assert np.array_equal(leaf, geometry.rasterize_primitive(p, model.grid,
+        assert np.array_equal(leaf, geometry.rasterize_primitive(p, model.mesh,
                                                                  model.cfg).values)
 
 
@@ -416,7 +416,7 @@ def test_reused_workspace_equals_a_fresh_model(sides):
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides,
                        frozen_operators={1: "union"})
     model = Model(spec)
-    per_block = geometry._BLOCK_DOUBLES // (sides * model.grid.n_cells)
+    per_block = geometry._BLOCK_DOUBLES // (sides * model.mesh.n_elements)
     assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
     rng = np.random.default_rng(8)
     z0 = rng.random(model.n)
@@ -507,10 +507,11 @@ def test_optimize_history_replays_exactly(quick_result):
 def test_optimize_snapped_reporting_is_consistent(quick_result):
     res = quick_result
     model = Model(quick_spec())
+    assert model.grid is model.mesh  # one grid: the fields sample the elements
     import csgtopo.csg as csg
     import csgtopo.geometry as geometry
     leaf_values = np.vstack([
-        geometry.rasterize_primitive(p, model.grid, model.cfg).values
+        geometry.rasterize_primitive(p, model.mesh, model.cfg).values
         for p in res.params])
     root = csg.evaluate_tree_values(res.snapped_tree.weights, leaf_values)[0]
     _, j_again = fea.analyze(np.clip(root, 0, 1), model.mesh, model.material,
