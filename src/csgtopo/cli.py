@@ -234,9 +234,16 @@ def write_config(path: Path, spec: ProblemSpec) -> None:
     _atomic_write(path, json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {path}: {exc.strerror}") from exc
+
+
 def execute_run(spec: ProblemSpec, outdir: Path) -> dict:
     """Run one optimization and write every artifact; returns the summary."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir)
     write_config(outdir / "config.json", spec)
     try:
         result = optimize(spec)
@@ -258,41 +265,29 @@ def execute_run(spec: ProblemSpec, outdir: Path) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
+def _describe(exc: Exception) -> str:
+    if isinstance(exc, SolverAbort):
+        return f"solver failed at iteration {exc.iteration}: {exc}"
+    return str(exc)
+
+
 def cmd_run(args) -> int:
-    try:
-        spec = load_config(args.config)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-            spec.validate()
-        summary = execute_run(spec, Path(args.out))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverAbort as exc:
-        print(f"error: solver failed at iteration {exc.iteration}: {exc}",
-              file=sys.stderr)
-        return EXIT_SOLVER
+    spec = load_config(args.config)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+        spec.validate()
+    summary = execute_run(spec, Path(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_check_grad(args) -> int:
-    try:
-        if not 0 < args.step < float("inf"):
-            raise ConfigError(f"step: must be positive and finite, got {args.step}")
-        if args.entries < 1:
-            raise ConfigError(f"entries: must be >= 1, got {args.entries}")
-        spec = load_config(args.config)
-        model = Model(spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        entries = sensitivity.fd_check(model, initialize(spec), step=args.step)
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if not 0 < args.step < float("inf"):
+        raise ConfigError(f"step: must be positive and finite, got {args.step}")
+    if args.entries < 1:
+        raise ConfigError(f"entries: must be >= 1, got {args.entries}")
+    spec = load_config(args.config)
+    entries = sensitivity.fd_check(Model(spec), initialize(spec), step=args.step)
 
     def rel_col(rel: float, fd: float) -> str:
         # below the FD floor the quotient is difference noise, not an error
@@ -330,29 +325,27 @@ def _apply_sweep_value(doc: dict, param: str, token: str) -> dict:
 
 
 def _sweep_one(doc: dict, outdir_str: str) -> dict:
-    spec = config_from_dict(doc)
-    return execute_run(spec, Path(outdir_str))
+    return execute_run(config_from_dict(doc), Path(outdir_str))
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base_doc = _read_json(args.config)
-        config_from_dict(base_doc)  # validate before launching anything
-        if args.parallel is not None and args.parallel < 1:
-            raise ConfigError(f"parallel: must be >= 1, got {args.parallel}")
-        tokens = [tok for tok in map(str.strip, args.values.split(",")) if tok]
-        if not tokens:
-            raise ConfigError("values: empty list")
-        jobs = []
-        for i, tok in enumerate(tokens):
-            if tok in tokens[:i]:
-                raise ConfigError(f"values: {tok!r} is given more than once")
-            doc = _apply_sweep_value(base_doc, args.param, tok)
-            config_from_dict(doc)
-            jobs.append((tok, doc, Path(args.out) / f"{args.param}={tok}"))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base_doc = _read_json(args.config)
+    config_from_dict(base_doc)  # validate before launching anything
+    if args.parallel is not None and args.parallel < 1:
+        raise ConfigError(f"parallel: must be >= 1, got {args.parallel}")
+    tokens = [tok for tok in map(str.strip, args.values.split(",")) if tok]
+    if not tokens:
+        raise ConfigError("values: empty list")
+    out = Path(args.out)
+    jobs = []
+    for i, tok in enumerate(tokens):
+        if tok in tokens[:i]:
+            raise ConfigError(f"values: {tok!r} is given more than once")
+        doc = _apply_sweep_value(base_doc, args.param, tok)
+        config_from_dict(doc)
+        jobs.append((tok, doc, out / f"{args.param}={tok}"))
+    for *_, path in jobs:
+        _make_dir(path)
 
     def outcome(result):
         """The job's summary, or its SolverAbort: one failure keeps the rest."""
@@ -377,22 +370,25 @@ def cmd_sweep(args) -> int:
     for tok, _, _ in jobs:
         s = summaries[tok]
         if isinstance(s, SolverAbort):
-            print(f"error: {args.param}={tok}: solver failed at iteration "
-                  f"{s.iteration}: {s}", file=sys.stderr)
+            print(f"error: {args.param}={tok}: {_describe(s)}", file=sys.stderr)
             lines.append(f"{tok},,,")
             failed += 1
         else:
             lines.append(",".join([tok, _fmt(s["J_relaxed"]), _fmt(s["J_snapped"]),
                                    _fmt(s["g_v"])]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "pareto.csv", "\n".join(lines) + "\n")
     print((out / "pareto.csv").read_text(), end="")
     return EXIT_SOLVER if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a flag error is a configuration error; subparsers inherit this class
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csgtopo",
         description="Topology optimization over polygon primitives combined "
                     "through a differentiable Boolean operation tree.")
@@ -425,10 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse and dispatch; the one place a failure becomes an exit code."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (ConfigError, SolverAbort, SingularSystemError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -58,14 +58,6 @@ def one_hot(operator: int) -> np.ndarray:
     return b
 
 
-def operator_index(name: str) -> int:
-    try:
-        return OPERATOR_NAMES.index(name)
-    except ValueError:
-        raise ValueError(
-            f"unknown operator {name!r}; valid: {', '.join(OPERATOR_NAMES)}") from None
-
-
 def softmax_encode(zb, scale: float = 4.0) -> np.ndarray:
     """Map 4 normalized values to simplex weights through a scaled softmax.
 

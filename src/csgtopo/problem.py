@@ -274,7 +274,8 @@ class Model:
             self.bcs = fea.BoundaryConditions(
                 np.asarray(spec.fixed_dofs, dtype=int),
                 {int(d): float(v) for d, v in spec.loads})
-        self.frozen = {k: csg.operator_index(v) for k, v in spec.frozen_operators.items()}
+        self.frozen = {k: csg.OPERATOR_NAMES.index(v)
+                       for k, v in spec.frozen_operators.items()}
         self.free_nodes = [k for k in range(spec.n_operators) if k not in self.frozen]
         self.bounds = spec.bounds()
         self.scales = {name: hi - lo for name, (lo, hi) in self.bounds.items()}
@@ -323,6 +324,8 @@ class Model:
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ValueError(f"design vector has {z.size} entries, expected {self.n}")
+        if not np.isfinite(z).all():
+            raise ValueError("design vector has a NaN or infinite entry")
         spec = self.spec
         n_p, s = spec.n_primitives, spec.sides
         rows = np.empty((n_p, 3 + s))
@@ -343,14 +346,6 @@ class Model:
         """Map z to polygon parameters and operator weights (frozen injected)."""
         rows, weights = self._denormalize_rows(z)
         return [geometry.PolygonParams(*row[:3], row[3:]) for row in rows], weights
-
-    def normalize_params(self, params) -> np.ndarray:
-        """Inverse affine map of the geometry blocks (testing aid)."""
-        rows = np.array([p.row for p in params])
-        blocks = [(rows[:, col] - self.bounds[name][0]) / self.scales[name]
-                  for col, name in enumerate(("cx", "cy", "theta"))]
-        d = (rows[:, 3:] - self.bounds["d"][0]) / self.scales["d"]
-        return np.concatenate(blocks + [d.ravel()])
 
     # -- forward evaluation --------------------------------------------------
 

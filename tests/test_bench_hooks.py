@@ -5,6 +5,8 @@ its layer from a traced benchmark run.  The module is read, not imported
 through the package path, so no file under bench/ is written.
 """
 
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -101,3 +103,13 @@ def test_run_works_with_forward_wrapped_as_strict_self_z(tmp_path, monkeypatch):
     spec = ProblemSpec(nx=12, ny=6, tree_depth=2, sides=4, mma=MmaConfig(max_iter=2))
     summary = cli.execute_run(spec, tmp_path)
     assert summary["iterations"] == len(calls) == 2
+
+
+def test_bench_selftest_passes():
+    # every metric BENCHMARK.json names, on a tiny problem; bytecode is not
+    # written, so bench/ gains no __pycache__, and outputs go to .bench_out/
+    root = TRACING.parent.parent
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

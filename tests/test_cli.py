@@ -189,6 +189,41 @@ def test_unparseable_config_exits_1_without_traceback(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("argv,start", [
+    (["run", "--config", "config.json", "--out", "o", "--seed", "abc"],
+     "error: csgtopo run: argument --seed: invalid int value: 'abc'"),
+    (["run", "--config", "config.json"],
+     "error: csgtopo run: the following arguments are required: --out"),
+    ([], "error: csgtopo: the following arguments are required: command"),
+    (["sweep", "--config", "config.json", "--param", "nx", "--values", "1", "--out", "s"],
+     "error: csgtopo sweep: argument --param: invalid choice: 'nx'"),
+    (["check-grad", "--config", "config.json", "--entries", "x"],
+     "error: csgtopo check-grad: argument --entries: invalid int value: 'x'"),
+    (["run", "--config", "config.json", "--out", "taken"],
+     "error: out: cannot create directory taken: "),
+    (["sweep", "--config", "config.json", "--param", "seed", "--values", "1,2",
+      "--out", "taken"], "error: out: cannot create directory taken"),
+], ids=["bad-seed", "no-out", "no-command", "bad-param", "bad-entries", "run-out-file",
+        "sweep-out-file"])
+def test_command_line_failure_is_exit_1(tmp_path, capsys, monkeypatch, argv, start):
+    # a flag error and an --out that cannot be a directory return 1 from main,
+    # print one error line and write nothing
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(start) and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: csgtopo run ")
+
+
 def test_readme_config_block_is_the_schema():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1]
@@ -598,6 +633,19 @@ def test_sweep_strips_values(tmp_path, fake_sweep):
     assert fake_sweep[1] == ["vf_star=0.3", "vf_star=0.4"]
     assert (out / "pareto.csv").read_text().splitlines()[1:] == \
         ["0.3,1,1,0", "0.4,1,1,0"]
+
+
+def test_sweep_makes_every_run_directory_before_any_run(tmp_path, capsys, fake_sweep):
+    # a later value whose directory cannot be made would lose the finished runs
+    cfg = write_config(tmp_path)
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "vf_star=0.4").write_text("")
+    assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                 "--values", "0.3,0.4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: out: cannot create directory {out / 'vf_star=0.4'}: ")
+    assert fake_sweep == ([], []) and not (out / "pareto.csv").exists()
 
 
 def test_sweep_rejects_non_numeric_value(tmp_path, capsys):

@@ -196,18 +196,36 @@ def test_denormalize_weights_match_per_node_encoding():
 
 
 def test_normalize_round_trip():
+    # every geometry entry is lo + (hi - lo) * z of its field's bound pair
     spec = ProblemSpec()
     model = Model(spec)
     z = initialize(spec)
     params, _ = model.denormalize(z)
-    geo = spec.n_primitives * (spec.sides + 3)
-    assert np.abs(model.normalize_params(params) - z[:geo]).max() < 1e-12
+    n_p, s = spec.n_primitives, spec.sides
+    blocks = {"cx": z[:n_p], "cy": z[n_p:2 * n_p], "theta": z[2 * n_p:3 * n_p],
+              "d": z[3 * n_p:n_p * (s + 3)].reshape(n_p, s)}
+    for name, (lo, hi) in spec.bounds().items():
+        got = np.array([getattr(p, name) for p in params])
+        assert np.abs(got - (lo + (hi - lo) * blocks[name])).max() < 1e-12
 
 
 def test_denormalize_rejects_wrong_length():
     model = Model(ProblemSpec())
     with pytest.raises(ValueError):
         model.denormalize(np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_rejects_non_finite_design(small_spec, bad):
+    # the entry is named as the fault, not the supports of a singular system
+    model = Model(small_spec)
+    z = initialize(small_spec)
+    model.forward(z)
+    z[5] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        model.forward(z)
+    with pytest.raises(ValueError, match="no completed forward"):
+        model.gradients()
 
 
 # -- initialization ---------------------------------------------------------------
