@@ -27,7 +27,7 @@ import numpy as np
 
 from . import csg, sensitivity
 from .fea import SingularSystemError
-from .mma import MmaConfig
+from .mma import MmaConfig, shown
 from .problem import (ConfigError, Model, OptimizeResult, ProblemSpec, SolverAbort,
                       initialize, optimize)
 
@@ -234,6 +234,13 @@ def write_config(path: Path, spec: ProblemSpec) -> None:
     _atomic_write(path, json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(text: str) -> Path:
+    """The --out directory; an empty one would be the working directory."""
+    if not text:
+        raise ConfigError("out: must name a directory, got ''")
+    return Path(text)
+
+
 def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -276,7 +283,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
         spec.validate()
-    summary = execute_run(spec, Path(args.out))
+    summary = execute_run(spec, _out_dir(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -320,7 +327,7 @@ def _apply_sweep_value(doc: dict, param: str, token: str) -> dict:
             doc[param] = float(token) if param == "vf_star" else int(token)
     except ValueError as exc:
         form = {"mesh": "NXxNY", "vf_star": "a number"}.get(param, "an integer")
-        raise ConfigError(f"{param}: expected {form}, got {token!r}") from exc
+        raise ConfigError(f"{param}: expected {form}, got {shown(token)}") from exc
     return doc
 
 
@@ -336,13 +343,16 @@ def cmd_sweep(args) -> int:
     tokens = [tok for tok in map(str.strip, args.values.split(",")) if tok]
     if not tokens:
         raise ConfigError("values: empty list")
-    out = Path(args.out)
+    out = _out_dir(args.out)
     jobs = []
-    for i, tok in enumerate(tokens):
-        if tok in tokens[:i]:
-            raise ConfigError(f"values: {tok!r} is given more than once")
+    for tok in tokens:
         doc = _apply_sweep_value(base_doc, args.param, tok)
         config_from_dict(doc)
+        # equal documents are one config, however the tokens are spelled
+        same = next((prev for prev, prev_doc, _ in jobs if prev_doc == doc), None)
+        if same is not None:
+            raise ConfigError(f"values: {shown(tok)} gives the same {args.param} as "
+                              f"{shown(same)}")
         jobs.append((tok, doc, out / f"{args.param}={tok}"))
     for *_, path in jobs:
         _make_dir(path)

@@ -10,9 +10,11 @@ with the asymptotes L, U adapted by the oscillation heuristic (expand after
 two steps in the same direction, contract after a reversal).  With a single
 constraint the convex subproblem is solved exactly through its
 one-dimensional dual: for a fixed multiplier the minimizer is closed form,
-and the multiplier is found by safeguarded bisection on the monotone dual
-derivative.  A penalized slack variable keeps the subproblem feasible even
-when the outer iterate violates the constraint.
+and the multiplier is the root of the monotone dual derivative, found by
+Newton's method with the derivative's analytic slope, warm started from the
+previous multiplier and safeguarded by a bisection bracket (Svanberg 1987,
+2002).  A penalized slack variable keeps the subproblem feasible even when
+the outer iterate violates the constraint.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class MmaState:
     """Optimizer state carried between updates.
 
     x_prev/x_prev2 are the previous two iterates; low/upp the current
-    asymptotes.  lam, slack and the subproblem merit values are diagnostics
-    of the last update.
+    asymptotes.  lam, slack, dual_evals (the dual derivative evaluations
+    that found lam) and the subproblem merit values are diagnostics of the
+    last update; the next update starts its search for lam at this one.
     """
 
     iteration: int = 0
@@ -114,6 +117,7 @@ class MmaState:
     upp: np.ndarray | None = None
     lam: float = 0.0
     slack: float = 0.0
+    dual_evals: int = 0
     sub_value_new: float = math.nan
     sub_value_current: float = math.nan
 
@@ -131,6 +135,7 @@ _ASY_DECR = 0.7       # contract after a reversal
 _ASY_MIN = 0.01       # clamp factors on asymptote distance, in box ranges
 _ASY_MAX = 10.0
 _SLACK_PENALTY = 1000.0   # linear cost of the constraint's slack variable
+_LAM_MAX = 1e14       # the bracket grows no further than this multiplier
 _BOUND_TOL = 1e-12    # an entry this close to 0 or 1 counts as on the bound
 
 
@@ -140,6 +145,50 @@ def _rational_coefficients(df: np.ndarray, ux: np.ndarray, xl: np.ndarray,
     dfm = np.maximum(-df, 0.0)
     base = 0.001 * (dfp + dfm) + _RAA0 / np.maximum(rng, 1e-5)
     return (dfp + base) * ux * ux, (dfm + base) * xl * xl
+
+
+def _solve_dual(dual, lam: float) -> tuple[float, int]:
+    """The root on [0, inf) of the decreasing dual derivative psi', and the
+    number of dual evaluations that found it; dual(lam) returns psi'(lam)
+    and psi''(lam).
+
+    Safeguarded Newton (rtsafe of Numerical Recipes), warm started at lam,
+    or at 1 when lam is 0.  Until psi' changes sign, Newton steps grow the
+    bracket [lo, hi] by at most 4x.  After that, a Newton step that leaves
+    the bracket, has no negative slope to follow or does not halve the step
+    before it becomes a bisection step.  lo = 0 is taken on trust until a
+    step would cross it; psi'(0) is then evaluated, and when it is <= 0 the
+    constraint is inactive and the root is 0.  The search stops at a step
+    below 1e-13 max(1, lam).
+    """
+    lo, hi = 0.0, math.inf
+    lam = lam if lam > 0.0 else 1.0
+    zero_tested, step, evals = False, math.inf, 0
+    while True:
+        grad, slope = dual(lam)
+        evals += 1
+        zero_tested = zero_tested or lam == 0.0
+        if grad > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi == 0.0:
+            return 0.0, evals
+        newton = lam - grad / slope if slope < 0.0 else math.nan
+        if hi == math.inf:
+            if lam >= _LAM_MAX:
+                return lam, evals
+            nxt = min(newton if slope < 0.0 else math.inf, 4.0 * max(lam, 1.0), _LAM_MAX)
+        elif lo <= newton <= hi and abs(newton - lam) <= 0.5 * step:
+            nxt = newton
+        elif lo == 0.0 and not zero_tested and not newton > 0.0:
+            nxt = 0.0
+        else:
+            nxt = 0.5 * (lo + hi)
+        step = abs(nxt - lam)
+        lam = nxt
+        if step <= 1e-13 * max(1.0, lam):
+            return lam, evals
 
 
 def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
@@ -182,8 +231,8 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
         low = np.clip(low, x - _ASY_MAX * rng, x - _ASY_MIN * rng)
         upp = np.clip(upp, x + _ASY_MIN * rng, x + _ASY_MAX * rng)
 
-    alpha = np.maximum.reduce([xmin, low + _BOUND_GAP * (x - low), x - _INNER_MOVE * rng])
-    beta = np.minimum.reduce([xmax, upp - _BOUND_GAP * (upp - x), x + _INNER_MOVE * rng])
+    alpha = np.maximum(np.maximum(xmin, low + _BOUND_GAP * (x - low)), x - _INNER_MOVE * rng)
+    beta = np.minimum(np.minimum(xmax, upp - _BOUND_GAP * (upp - x)), x + _INNER_MOVE * rng)
 
     ux = upp - x
     xl = x - low
@@ -192,36 +241,47 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
     # constraint approximation equals g_val at x, so its subproblem offset is:
     b1 = float((p1 / ux + q1 / xl).sum()) - g_val
 
-    def x_of(lam: float) -> np.ndarray:
-        ps = np.sqrt(p0 + lam * p1)
-        qs = np.sqrt(q0 + lam * q1)
-        # np.clip's result, without its per-call overhead on the bisection path
-        return np.minimum(np.maximum((low * ps + upp * qs) / (ps + qs), alpha), beta)
+    # buffers that every dual evaluation of this update reuses
+    pp, qq, ps, qs, xs, uxs, xls, gp, gq = (np.empty(n) for _ in range(9))
+    free, below = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
-    def slack_of(lam: float) -> float:
-        return max(0.0, lam - _SLACK_PENALTY)
+    def x_of(lam: float, out: np.ndarray) -> np.ndarray:
+        """The subproblem's minimizer at multiplier lam, written into out;
+        pp and qq are left holding p0 + lam p1 and q0 + lam q1."""
+        np.add(p0, np.multiply(p1, lam, out=pp), out=pp)
+        np.add(q0, np.multiply(q1, lam, out=qq), out=qq)
+        np.sqrt(pp, out=ps)
+        np.sqrt(qq, out=qs)
+        np.add(np.multiply(low, ps, out=out), np.multiply(upp, qs, out=gp), out=out)
+        np.divide(out, np.add(ps, qs, out=gp), out=out)
+        # np.clip's result, without its per-call overhead
+        return np.minimum(np.maximum(out, alpha, out=out), beta, out=out)
 
-    def dual_grad(lam: float) -> float:
-        xs = x_of(lam)
-        return float((p1 / (upp - xs) + q1 / (xs - low)).sum()) - b1 - slack_of(lam)
+    def dual(lam: float) -> tuple[float, float]:
+        """psi'(lam), the approximated constraint minus b1 and the slack at
+        x(lam), and its slope psi''(lam).  Each entry that alpha and beta do
+        not clamp adds -h^2 / W to the slope, with h = p1/(U-x)^2 - q1/(x-L)^2
+        and W = 2 pp/(U-x)^3 + 2 qq/(x-L)^3; the slack adds -1 past its kink."""
+        x_of(lam, xs)
+        np.subtract(upp, xs, out=uxs)
+        np.subtract(xs, low, out=xls)
+        np.divide(p1, uxs, out=gp)
+        np.divide(q1, xls, out=gq)
+        grad = (float(np.add(gp, gq, out=ps).sum()) - b1
+                - max(0.0, lam - _SLACK_PENALTY))
+        h = np.subtract(np.divide(gp, uxs, out=gp), np.divide(gq, xls, out=gq), out=gp)
+        for _ in range(3):              # pp/(U-x)^3 and qq/(x-L)^3
+            np.divide(pp, uxs, out=pp)
+            np.divide(qq, xls, out=qq)
+        half_w = np.add(pp, qq, out=pp)
+        np.greater(xs, alpha, out=free)
+        h *= np.logical_and(free, np.less(xs, beta, out=below), out=free)
+        curvature = 0.5 * float(np.dot(h, np.divide(h, half_w, out=qq)))
+        return grad, -curvature - float(lam > _SLACK_PENALTY)
 
-    if dual_grad(0.0) <= 0.0:
-        lam = 0.0
-    else:
-        hi = 1.0
-        while dual_grad(hi) > 0.0 and hi < 1e14:
-            hi *= 2.0
-        lo = 0.0 if hi == 1.0 else hi / 2.0
-        while hi - lo > 1e-13 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if dual_grad(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-
-    x_new = x_of(lam)
-    slack = slack_of(lam)
+    lam, evals = _solve_dual(dual, state.lam)
+    x_new = x_of(lam, np.empty(n))
+    slack = max(0.0, lam - _SLACK_PENALTY)
 
     def merit(xv: np.ndarray, y: float) -> float:
         return (float((p0 / (upp - xv) + q0 / (xv - low)).sum())
@@ -235,6 +295,7 @@ def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
         upp=upp,
         lam=lam,
         slack=slack,
+        dual_evals=evals,
         sub_value_new=merit(x_new, slack),
         sub_value_current=merit(x, max(0.0, g_val)),
     )

@@ -203,11 +203,16 @@ def test_unparseable_config_exits_1_without_traceback(tmp_path, capsys, monkeypa
      "error: out: cannot create directory taken: "),
     (["sweep", "--config", "config.json", "--param", "seed", "--values", "1,2",
       "--out", "taken"], "error: out: cannot create directory taken"),
+    (["run", "--config", "config.json", "--out", ""],
+     "error: out: must name a directory, got ''"),
+    (["sweep", "--config", "config.json", "--param", "seed", "--values", "1,2",
+      "--out", ""], "error: out: must name a directory, got ''"),
 ], ids=["bad-seed", "no-out", "no-command", "bad-param", "bad-entries", "run-out-file",
-        "sweep-out-file"])
+        "sweep-out-file", "run-empty-out", "sweep-empty-out"])
 def test_command_line_failure_is_exit_1(tmp_path, capsys, monkeypatch, argv, start):
     # a flag error and an --out that cannot be a directory return 1 from main,
-    # print one error line and write nothing
+    # print one error line and write nothing; an empty --out would be the
+    # working directory
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path)
     (tmp_path / "taken").write_text("")
@@ -623,6 +628,20 @@ def test_sweep_rejects_repeated_value(tmp_path, capsys, fake_sweep, values):
                  "--values", values, "--out", str(tmp_path / "s")]) == 1
     assert "values" in capsys.readouterr().err
     assert fake_sweep == ([], []) and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("param,values", [
+    ("vf_star", "0.3,0.30"), ("tree_depth", "2,02"), ("mesh", "12x6,12X6"),
+])
+def test_sweep_rejects_values_that_parse_alike(tmp_path, capsys, param, values):
+    # two spellings of one value would run the same config twice
+    cfg = write_config(tmp_path, {**QUICK, "mma": {"max_iter": 2}})
+    first, second = values.split(",")
+    assert main(["sweep", "--config", str(cfg), "--param", param,
+                 "--values", values, "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == (f"error: values: '{second}' gives the same "
+                                       f"{param} as '{first}'\n")
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_strips_values(tmp_path, fake_sweep):

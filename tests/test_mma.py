@@ -1,7 +1,12 @@
+import copy
+import statistics
+
 import numpy as np
 import pytest
 
+from csgtopo import mma, problem
 from csgtopo.mma import MmaConfig, MmaState, kkt_residual, mma_update
+from csgtopo.problem import ProblemSpec
 
 
 def run_toy(objective, gradient, constraint, cgrad, x0, iters=50,
@@ -129,3 +134,119 @@ def test_config_validation():
         MmaConfig(max_iter=0)
     with pytest.raises(ValueError, match="^move_limit: "):
         MmaConfig(move_limit=10 ** 5000)
+
+
+# -- the multiplier: Newton against a bisection oracle ---------------------------
+
+def bisect_lam(grad) -> float:
+    """The root of the decreasing dual derivative grad on [0, inf) by doubling
+    and then bisection to 1e-13 relative: mma_update's search before it took
+    Newton steps, kept as the oracle for them."""
+    if grad(0.0) <= 0.0:
+        return 0.0
+    hi = 1.0
+    while grad(hi) > 0.0 and hi < 1e14:
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > 1e-13 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if grad(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def assert_agrees(lam, oracle):
+    # the oracle stops on a bracket 1e-13 max(1, hi) wide, so it is only
+    # that close to the root itself
+    assert abs(lam - oracle) <= 2e-13 * max(1.0, oracle)
+
+
+@pytest.fixture
+def with_oracle(monkeypatch):
+    """Makes every mma_update also find its multiplier by bisect_lam, on the
+    same dual; returns the list of (dual, oracle multiplier) per update."""
+    seen = []
+    newton = mma._solve_dual
+
+    def both(dual, lam):
+        seen.append((dual, bisect_lam(lambda at: dual(at)[0])))
+        return newton(dual, lam)
+
+    monkeypatch.setattr(mma, "_solve_dual", both)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def recorded_updates():
+    """The arguments of the 30 mma_update calls of a 16x8 depth-4 run."""
+    calls = []
+
+    def record(*args):
+        calls.append(copy.deepcopy(args))
+        return mma_update(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem, "mma_update", record)
+        problem.optimize(ProblemSpec(nx=16, ny=8, tree_depth=4, mma=MmaConfig(
+            max_iter=30, kkt_tol=1e-9, step_tol=1e-9)))
+    assert len(calls) == 30
+    return calls
+
+
+def test_newton_multiplier_matches_bisection_on_a_run(recorded_updates, with_oracle):
+    lams = [mma_update(*args)[1].lam for args in recorded_updates]
+    for lam, (_, oracle) in zip(lams, with_oracle):
+        assert_agrees(lam, oracle)
+
+
+def test_newton_needs_few_dual_evaluations(recorded_updates):
+    # doubling and bisection to 1e-13 took about 52 per update
+    evals = [mma_update(*args)[1].dual_evals for args in recorded_updates]
+    assert statistics.median(evals) <= 10 and max(evals) <= 25
+
+
+def toy_update(g_val, dg_scale, lam0=0.0):
+    """One update of a 4-entry toy whose objective pushes every entry down
+    and whose constraint, g_val at z, falls as the entries rise."""
+    z = np.array([0.3, 0.45, 0.6, 0.7])
+    dj = np.array([1.0, 0.5, 2.0, 1.0])
+    dg = -dg_scale * np.array([1.0, 1.5, 0.5, 1.0])
+    return mma_update(z, 1.0, dj, g_val, dg, MmaState(lam=lam0), MmaConfig())[1]
+
+
+@pytest.mark.parametrize("lam0", [0.0, 50.0])
+def test_newton_finds_an_inactive_constraint(with_oracle, lam0):
+    state = toy_update(g_val=-1.0, dg_scale=0.5, lam0=lam0)
+    assert state.lam == 0.0 == with_oracle[-1][1]
+    assert state.slack == 0.0
+
+
+def test_newton_root_just_above_the_slack_kink(with_oracle):
+    toy_update(g_val=0.0, dg_scale=0.5)
+    probe = with_oracle[-1][0]
+    # psi' moves one for one with g_val, so this puts psi'(1000) at 1e-3
+    state = toy_update(g_val=1e-3 - probe(mma._SLACK_PENALTY)[0], dg_scale=0.5)
+    dual, oracle = with_oracle[-1]
+    assert dual(mma._SLACK_PENALTY)[1] < 0.0          # entries are not clamped
+    assert mma._SLACK_PENALTY < oracle < mma._SLACK_PENALTY + 1e-3
+    assert_agrees(state.lam, oracle)
+    assert state.slack == state.lam - mma._SLACK_PENALTY
+
+
+def test_newton_grows_the_bracket_from_a_cold_start(with_oracle):
+    state = toy_update(g_val=5000.0, dg_scale=0.5, lam0=0.0)
+    assert state.lam >= 1e3
+    assert_agrees(state.lam, with_oracle[-1][1])
+
+
+def test_newton_falls_back_to_bisection_where_every_entry_is_clamped(with_oracle):
+    # warm started at lam = 500, where alpha and beta clamp every entry and
+    # psi' is flat: no Newton step exists until bisection leaves the flat part
+    state = toy_update(g_val=0.2, dg_scale=10.0, lam0=500.0)
+    dual, oracle = with_oracle[-1]
+    grad, slope = dual(500.0)
+    assert slope == 0.0 and grad < 0.0
+    assert 0.0 < oracle < 500.0
+    assert_agrees(state.lam, oracle)
