@@ -13,10 +13,10 @@ from .geometry import (DensityField, PolygonParams, ProjectionConfig, base_angle
 from .fea import (BoundaryConditions, Material, Mesh, SingularSystemError,
                   SolveResult, analyze, assemble, element_stiffness_template,
                   simp_modulus, solve, volume_constraint)
-from .mma import MmaConfig, MmaState, kkt_residual, mma_update
-from .problem import (BENCHMARKS, ConfigError, Model, OptimizeResult, ProblemSpec,
-                      RunHistory, SolverAbort, builtin_problem, initialize,
-                      optimize)
+from .config import BENCHMARKS, ConfigError, MmaConfig, ProblemSpec
+from .mma import MmaState, kkt_residual, mma_update
+from .problem import (Model, OptimizeResult, RunHistory, SolverAbort, builtin_problem,
+                      initialize, optimize)
 from .sensitivity import fd_check
 
 __version__ = "0.1.0"

@@ -5,10 +5,10 @@
     csgtopo sweep --config cfg.json --param vf_star --values 0.3,0.4,0.5 \
         --out sweep/ [--parallel K]
 
-The config is a JSON document mirroring ProblemSpec; unknown keys are hard
-errors.  Every output file is written atomically (temp file + rename) and,
-apart from the wall-clock timings file, is byte-identical across reruns of
-the same config and seed.
+The config is a JSON document mirroring ProblemSpec, read by the config
+module; unknown keys are hard errors.  Every output file is written
+atomically (temp file + rename) and, apart from the wall-clock timings
+file, is byte-identical across reruns of the same config and seed.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import csg, sensitivity
+from .config import (ConfigError, ProblemSpec, config_from_dict, read_json, shown,
+                     spec_to_dict)
 from .fea import SingularSystemError
-from .mma import MmaConfig, shown
-from .problem import (ConfigError, Model, OptimizeResult, ProblemSpec, SolverAbort,
-                      initialize, optimize)
+from .problem import Model, OptimizeResult, SolverAbort, initialize, optimize
 
-__all__ = ["main", "execute_run", "load_config", "config_from_dict", "spec_to_dict"]
+__all__ = ["main", "execute_run"]
 
 log = logging.getLogger(__name__)
 
@@ -41,81 +41,6 @@ EXIT_SOLVER = 2
 EXIT_GRAD = 3
 
 SWEEP_PARAMS = ("vf_star", "tree_depth", "seed", "mesh")
-
-_SPEC_KEYS = {f.name for f in dataclasses.fields(ProblemSpec)}
-_MMA_KEYS = {f.name for f in dataclasses.fields(MmaConfig)}
-
-
-# -- configuration -----------------------------------------------------------
-
-
-def config_from_dict(doc: dict) -> ProblemSpec:
-    """Build a ProblemSpec from a parsed config document (strict keys)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be an object")
-    unknown = set(doc) - _SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown keys: {', '.join(sorted(unknown))}")
-    kwargs = dict(doc)
-
-    if "mma" in kwargs and kwargs["mma"] is not None:
-        sub = kwargs["mma"]
-        if not isinstance(sub, dict):
-            raise ConfigError("mma: must be an object")
-        bad = set(sub) - _MMA_KEYS
-        if bad:
-            raise ConfigError(f"mma: unknown keys: {', '.join(sorted(bad))}")
-        try:
-            kwargs["mma"] = MmaConfig(**sub)
-        except ValueError as exc:
-            raise ConfigError(f"mma: {exc}") from exc
-    else:
-        kwargs["mma"] = MmaConfig()
-
-    frozen = {} if kwargs.get("frozen_operators") is None else kwargs["frozen_operators"]
-    if not isinstance(frozen, dict):
-        raise ConfigError("frozen_operators: expected an object mapping node to operator")
-    try:
-        kwargs["frozen_operators"] = {int(k): v for k, v in frozen.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"frozen_operators: {exc}") from exc
-    if len(kwargs["frozen_operators"]) < len(frozen):
-        # JSON keys are strings, and "0" and "00" name the same node
-        raise ConfigError("frozen_operators: two keys name the same node")
-
-    spec = ProblemSpec(**kwargs)
-    spec.validate()
-    return spec
-
-
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, a file that is not UTF-8, an integer past
-        # Python's int-string limit, or nesting deeper than the recursion limit
-        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-
-
-def load_config(path) -> ProblemSpec:
-    return config_from_dict(_read_json(path))
-
-
-def spec_to_dict(spec: ProblemSpec) -> dict:
-    """Effective configuration with every default resolved, JSON-ready."""
-    doc = dataclasses.asdict(spec)
-    doc["frozen_operators"] = {str(k): v for k, v in spec.frozen_operators.items()}
-    for name, (lo, hi) in spec.bounds().items():
-        doc[f"{name}_bounds"] = [float(lo), float(hi)]
-    doc["lx"] = spec.domain_lx
-    doc["ly"] = spec.domain_ly
-    doc["emin"] = spec.resolved_emin
-    if doc["loads"] is not None:
-        doc["loads"] = [[d, float(v)] for d, v in doc["loads"]]
-    return doc
 
 
 # -- output writers ----------------------------------------------------------
@@ -279,7 +204,7 @@ def _describe(exc: Exception) -> str:
 
 
 def cmd_run(args) -> int:
-    spec = load_config(args.config)
+    spec = config_from_dict(read_json(args.config))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
         spec.validate()
@@ -293,7 +218,7 @@ def cmd_check_grad(args) -> int:
         raise ConfigError(f"step: must be positive and finite, got {args.step}")
     if args.entries < 1:
         raise ConfigError(f"entries: must be >= 1, got {args.entries}")
-    spec = load_config(args.config)
+    spec = config_from_dict(read_json(args.config))
     entries = sensitivity.fd_check(Model(spec), initialize(spec), step=args.step)
 
     def rel_col(rel: float, fd: float) -> str:
@@ -336,7 +261,7 @@ def _sweep_one(doc: dict, outdir_str: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    base_doc = _read_json(args.config)
+    base_doc = read_json(args.config)
     config_from_dict(base_doc)  # validate before launching anything
     if args.parallel is not None and args.parallel < 1:
         raise ConfigError(f"parallel: must be >= 1, got {args.parallel}")

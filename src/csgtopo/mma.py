@@ -20,84 +20,11 @@ the outer iterate violates the constraint.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MmaConfig", "MmaState", "field_error", "is_finite_real", "is_int",
-           "mma_update", "kkt_residual", "ranged", "shown"]
-
-
-def is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_finite_real(value) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:           # an integer too large for a float
-        return False
-
-
-def shown(value, nested: bool = False) -> str:
-    """value as an error message prints it: an int of more than about 15
-    digits as ~2^bits (a huge int is slow to print, and past 4300 digits
-    Python refuses to), a string cut at 40 characters, a list of up to four
-    entries one level deep, and any other object by its type."""
-    if is_int(value):
-        bits = int(value).bit_length()
-        return str(value) if bits <= 48 else f"{'~-2' if value < 0 else '~2'}^{bits}"
-    if isinstance(value, (list, tuple)) and len(value) <= 4 and not nested:
-        return f"[{', '.join(shown(entry, nested=True) for entry in value)}]"
-    if value is not None and not isinstance(value, (bool, float, str)):
-        return f"a {type(value).__name__}"
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def ranged(interval: str, default):
-    """A dataclass field whose value must lie in interval, written the
-    mathematical way: "(0, 1]", "[3, inf)".  field_error checks it."""
-    ends = tuple(float(end) for end in interval[1:-1].split(","))
-    return field(default=default, metadata={"range": interval, "ends": ends})
-
-
-def field_error(obj) -> str | None:
-    """'name: reason' for the first ranged field of dataclass obj that breaks
-    its rule, else None.  The rule's type is the annotation's text (these
-    modules postpone annotations): "int" takes an integer that is not a bool,
-    "float" a finite real, and "float | None" also None."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if "range" not in f.metadata or (value is None and optional == "None"):
-            continue
-        admits, noun = ((is_int, "an integer") if kind == "int"
-                        else (is_finite_real, "a finite number"))
-        if not admits(value):
-            return f"{f.name}: must be {noun}, got {shown(value)}"
-        interval, (lo, hi) = f.metadata["range"], f.metadata["ends"]
-        if not ((lo <= value if interval[0] == "[" else lo < value)
-                and (value <= hi if interval[-1] == "]" else value < hi)):
-            return f"{f.name}: must lie in {interval}, got {shown(value)}"
-    return None
-
-
-@dataclass(frozen=True)
-class MmaConfig:
-    move_limit: float = ranged("(0, 1]", 0.05)
-    kkt_tol: float = ranged("(0, inf)", 1e-3)
-    step_tol: float = ranged("(0, inf)", 1e-3)
-    max_iter: int = ranged("[1, inf)", 200)
-
-    def __post_init__(self):
-        # a config document can carry any JSON value, Infinity included
-        error = field_error(self)
-        if error:
-            raise ValueError(error)
+__all__ = ["MmaState", "mma_update", "kkt_residual"]
 
 
 @dataclass(eq=False)
@@ -120,10 +47,6 @@ class MmaState:
     dual_evals: int = 0
     sub_value_new: float = math.nan
     sub_value_current: float = math.nan
-
-    @classmethod
-    def fresh(cls) -> "MmaState":
-        return cls()
 
 
 _RAA0 = 1e-5
@@ -192,12 +115,12 @@ def _solve_dual(dual, lam: float) -> tuple[float, int]:
 
 
 def mma_update(z: np.ndarray, j_val: float, dj: np.ndarray, g_val: float,
-               dg: np.ndarray, state: MmaState,
-               cfg: MmaConfig) -> tuple[np.ndarray, MmaState]:
+               dg: np.ndarray, state: MmaState, cfg) -> tuple[np.ndarray, MmaState]:
     """One MMA step; returns the new iterate and the advanced state.
 
     Minimizes j subject to g <= 0 and 0 <= z <= 1.  The new iterate stays
-    within move_limit of z in every coordinate and inside [0, 1] exactly.
+    within cfg.move_limit (cfg is a config.MmaConfig) of z in every
+    coordinate and inside [0, 1] exactly.
     """
     x = np.asarray(z, dtype=float).copy()
     n = x.size

@@ -1,4 +1,4 @@
-"""Problem definition, design-vector mapping, and the optimization loop.
+"""A ProblemSpec's model, design-vector mapping, and the optimization loop.
 
 The normalized design vector z lives in [0, 1]^N with block layout
 
@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import csg, fea, geometry, sensitivity
-from .mma import (MmaConfig, MmaState, field_error, is_finite_real, is_int, kkt_residual,
-                  mma_update, ranged, shown)
+from .config import BENCHMARKS, ConfigError, ProblemSpec, shown
+from .mma import MmaState, kkt_residual, mma_update
 
 __all__ = [
-    "BENCHMARKS",
-    "MAX_TAPE_DOUBLES",
-    "ConfigError",
     "SolverAbort",
-    "ProblemSpec",
     "Model",
     "IterationRecord",
     "RunHistory",
@@ -39,15 +35,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-BENCHMARKS = ("mbb", "mid_cantilever")
-
-# memory budget of the projection tape, in doubles (2^26 doubles = 512 MiB)
-MAX_TAPE_DOUBLES = 2 ** 26
-
-
-class ConfigError(ValueError):
-    """Invalid problem configuration; the message names the offending field."""
 
 
 class SolverAbort(RuntimeError):
@@ -64,165 +51,6 @@ class SolverAbort(RuntimeError):
         # the payload is not part of args, so default exception pickling
         # (used by process pools) would drop the constructor arguments
         return (SolverAbort, (self.args[0], self.history, self.z, self.iteration))
-
-
-@dataclass
-class ProblemSpec:
-    """Full configuration of one optimization run.
-
-    lx/ly default to nx/ny (unit square elements) and emin to 1e-9 * e0.
-    Bounds left as None fall back to cx in (0.05 lx, 0.95 lx), cy in
-    (0.05 ly, 0.95 ly), theta in (0, 2 pi / sides), d in (0, 0.25 lx).
-    frozen_operators maps internal node index -> operator name; those nodes
-    are locked and dropped from the design vector.
-    """
-
-    nx: int = ranged("[1, inf)", 60)
-    ny: int = ranged("[1, inf)", 30)
-    lx: float | None = ranged("(0, inf)", None)
-    ly: float | None = ranged("(0, inf)", None)
-    e0: float = ranged("(0, inf)", 1.0)
-    emin: float | None = ranged("(0, inf)", None)
-    penalty: float = ranged("[1, inf)", 3.0)
-    nu: float = ranged("(0, 0.5)", 0.3)
-    vf_star: float = ranged("(0, 1]", 0.5)
-    tree_depth: int = ranged("[1, inf)", 4)
-    sides: int = ranged("[3, inf)", 6)
-    gamma: float = ranged("(0, inf)", 100.0)
-    beta: float = ranged("(0, inf)", 8.0)
-    lse_scale: float = ranged("(0, inf)", 100.0)
-    softmax_scale: float = ranged("(0, inf)", 4.0)
-    cx_bounds: tuple[float, float] | None = None
-    cy_bounds: tuple[float, float] | None = None
-    theta_bounds: tuple[float, float] | None = None
-    d_bounds: tuple[float, float] | None = None
-    frozen_operators: dict[int, str] = field(default_factory=dict)
-    seed: int = ranged("[0, inf)", 2)
-    mma: MmaConfig = field(default_factory=MmaConfig)
-    benchmark: str | None = "mbb"
-    fixed_dofs: list[int] | None = None
-    loads: list[tuple[int, float]] | None = None
-
-    # -- resolved values ---------------------------------------------------
-
-    @property
-    def domain_lx(self) -> float:
-        return float(self.nx) if self.lx is None else float(self.lx)
-
-    @property
-    def domain_ly(self) -> float:
-        return float(self.ny) if self.ly is None else float(self.ly)
-
-    @property
-    def resolved_emin(self) -> float:
-        return 1e-9 * self.e0 if self.emin is None else self.emin
-
-    @property
-    def n_primitives(self) -> int:
-        return 2 ** self.tree_depth
-
-    @property
-    def n_operators(self) -> int:
-        return 2 ** self.tree_depth - 1
-
-    @property
-    def design_size(self) -> int:
-        return self.full_size - 4 * len(self.frozen_operators)  # frozen nodes drop out
-
-    @property
-    def full_size(self) -> int:
-        return self.n_primitives * (self.sides + 3) + 4 * self.n_operators
-
-    def bounds(self) -> dict[str, tuple[float, float]]:
-        lx, ly = self.domain_lx, self.domain_ly
-        return {
-            "cx": self.cx_bounds or (0.05 * lx, 0.95 * lx),
-            "cy": self.cy_bounds or (0.05 * ly, 0.95 * ly),
-            "theta": self.theta_bounds or (0.0, 2.0 * math.pi / self.sides),
-            "d": self.d_bounds or (0.0, 0.25 * lx),
-        }
-
-    def validate(self) -> None:
-        def fail(name, detail):
-            raise ConfigError(f"{name}: {detail}")
-
-        # a config document can carry any JSON value; the scalar fields'
-        # types and ranges first, so no comparison below can raise
-        error = field_error(self)
-        if error:
-            raise ConfigError(error)
-        for name in ("cx_bounds", "cy_bounds", "theta_bounds", "d_bounds"):
-            pair = getattr(self, name)
-            if pair is not None and not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                                         and all(map(is_finite_real, pair))):
-                fail(name, f"expected a [lo, hi] pair of finite numbers, got {shown(pair)}")
-        if not isinstance(self.frozen_operators, dict):
-            fail("frozen_operators", f"expected a dict, got {shown(self.frozen_operators)}")
-        if not isinstance(self.mma, MmaConfig):
-            fail("mma", f"expected an MmaConfig, got {shown(self.mma)}")
-        if self.fixed_dofs is not None and not isinstance(self.fixed_dofs, (list, tuple)):
-            fail("fixed_dofs", f"expected a list of dofs, got {shown(self.fixed_dofs)}")
-        if self.loads is not None and not isinstance(self.loads, (list, tuple)):
-            fail("loads", f"expected a list of [dof, value] pairs, got {shown(self.loads)}")
-        for dof in self.fixed_dofs or ():
-            if not is_int(dof):
-                fail("fixed_dofs", f"dof {shown(dof)} is not an integer")
-        for load in self.loads or ():
-            if not (isinstance(load, (list, tuple)) and len(load) == 2 and is_int(load[0])
-                    and is_finite_real(load[1])):
-                fail("loads", f"{shown(load)} is not an integer dof and a finite value")
-        # checked before anything is allocated or converted to float, and the
-        # depth before 2^depth is formed: the projection tape is the largest
-        # array of a run, 2^depth * sides * nx * ny doubles
-        if (self.tree_depth > MAX_TAPE_DOUBLES.bit_length()
-                or self.n_primitives * self.sides * self.nx * self.ny > MAX_TAPE_DOUBLES):
-            fail("tree_depth", f"the projection tape of 2^{shown(self.tree_depth)} "
-                 f"primitives x {shown(self.sides)} sides x "
-                 f"{shown(self.nx)}x{shown(self.ny)} cells is over the budget of "
-                 f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
-        if not 0 < self.resolved_emin < self.e0:
-            fail("emin", f"must satisfy 0 < emin < e0, got {shown(self.resolved_emin)}")
-        for name, (lo, hi) in self.bounds().items():
-            if not lo < hi:
-                fail(f"{name}_bounds", "lower bound must be below upper, got "
-                     f"{shown(lo)} and {shown(hi)}")
-            # the span scales the design vector; an infinite one makes NaN rows
-            if not math.isfinite(hi - lo):
-                fail(f"{name}_bounds", "the span from lower to upper bound overflows "
-                     f"a float, got {shown(lo)} and {shown(hi)}")
-        for node, op in self.frozen_operators.items():
-            if not (is_int(node) and 0 <= node < self.n_operators):
-                fail("frozen_operators", f"node {shown(node)} is not an integer in "
-                     f"[0, {self.n_operators}) for depth {self.tree_depth}")
-            if op not in csg.OPERATOR_NAMES:
-                fail("frozen_operators", f"unknown operator {shown(op)}; "
-                     f"valid: {', '.join(csg.OPERATOR_NAMES)}")
-        if self.benchmark is not None and self.benchmark not in BENCHMARKS:
-            fail("benchmark", f"unknown benchmark {shown(self.benchmark)}; "
-                 f"valid: {', '.join(BENCHMARKS)}")
-        if self.benchmark is None and (self.fixed_dofs is None or self.loads is None):
-            fail("benchmark", "either a benchmark name or explicit fixed_dofs "
-                 "and loads must be given")
-        if self.benchmark is not None and (self.fixed_dofs is not None
-                                           or self.loads is not None):
-            fail("benchmark", "explicit fixed_dofs/loads require benchmark = null")
-        if self.benchmark is None:
-            ndof = 2 * (self.nx + 1) * (self.ny + 1)
-            load_dofs = [dof for dof, _ in self.loads]
-            for name, dofs in (("fixed_dofs", self.fixed_dofs), ("loads", load_dofs)):
-                if len(dofs) == 0:
-                    fail(name, "must not be empty")
-                for dof in dofs:
-                    if not 0 <= dof < ndof:
-                        fail(name, f"dof {shown(dof)} out of range [0, {ndof})")
-            if all(value == 0 for _, value in self.loads):
-                fail("loads", "every load value is zero, so the compliance is zero")
-            dups = sorted({dof for dof in load_dofs if load_dofs.count(dof) > 1})
-            if dups:
-                fail("loads", f"dof {shown(dups[0])} is loaded more than once")
-            on_fixed = sorted(set(load_dofs).intersection(self.fixed_dofs))
-            if on_fixed:
-                fail("loads", f"dof {shown(on_fixed[0])} is also in fixed_dofs")
 
 
 def builtin_problem(name: str, nx: int, ny: int) -> fea.BoundaryConditions:
@@ -530,7 +358,7 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
     model = Model(spec)
     cfg = spec.mma
     z = initialize(spec)
-    state = MmaState.fresh()
+    state = MmaState()
     history = RunHistory()
     reason = "max_iter"
 
@@ -555,6 +383,9 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
             raise SolverAbort(f"compliance J = {j_val:g} is not positive: it underflowed; "
                               "scale the loads or e0 up", history, z, it)
         z_new, state = mma_update(z, j_val, dj, g_v, dg, state, cfg)
+        if not np.isfinite(z_new).all():
+            raise SolverAbort("the MMA update returned a NaN or infinite design "
+                              f"(multiplier {state.lam:g})", history, z, it)
         step = float(np.abs(z_new - z).max())
         kkt = kkt_residual(z_new, dj, g_v, dg, state.lam)
         t_end = time.perf_counter()

@@ -13,8 +13,9 @@ from csgtopo import csg, fea
 from csgtopo.csg import (combine, combine_grad_operand, combine_grad_weights,
                          evaluate_tree_values, one_hot, prune)
 from csgtopo.geometry import rasterize_primitive
-from csgtopo.mma import MmaConfig, MmaState, mma_update
-from csgtopo.problem import Model, ProblemSpec, builtin_problem, optimize
+from csgtopo.config import MmaConfig, ProblemSpec
+from csgtopo.mma import MmaState, mma_update
+from csgtopo.problem import Model, builtin_problem, optimize
 from csgtopo.sensitivity import fd_check
 from conftest import connected_design
 
@@ -233,7 +234,7 @@ def test_criterion_10_mma_unit_suite():
     cfg = MmaConfig()
 
     z = np.array([0.2])
-    state = MmaState.fresh()
+    state = MmaState()
     ok_invariants = True
     for _ in range(50):
         dj = np.array([2 * (z[0] - 0.7)])
@@ -246,7 +247,7 @@ def test_criterion_10_mma_unit_suite():
 
     n = 8
     z = np.full(n, 0.8)
-    state = MmaState.fresh()
+    state = MmaState()
     for _ in range(100):
         z_new, state = mma_update(z, float(z @ z), 2 * z,
                                   float(0.2 * n - z.sum()), -np.ones(n),

@@ -41,8 +41,7 @@ def test_resolve_reports_a_renamed_target(tracing):
 def test_every_layer_is_entered(tracing, tmp_path):
     # a hook that resolves but is never called reads 0 calls in the benchmark
     from csgtopo import cli
-    from csgtopo.mma import MmaConfig
-    from csgtopo.problem import ProblemSpec
+    from csgtopo.config import MmaConfig, ProblemSpec
 
     spec = ProblemSpec(nx=12, ny=6, tree_depth=2, sides=4, mma=MmaConfig(max_iter=2))
     # one span per target: two hooks share the sensitivity.grad span
@@ -62,8 +61,7 @@ def test_layer_spans_are_per_call_not_per_block(tracing, tmp_path):
     # a block loop that re-entered a hooked function would multiply its
     # calls and split its self time
     from csgtopo import cli, geometry
-    from csgtopo.mma import MmaConfig
-    from csgtopo.problem import ProblemSpec
+    from csgtopo.config import MmaConfig, ProblemSpec
 
     spec = ProblemSpec(mma=MmaConfig(max_iter=3))
     per_block = geometry._BLOCK_DOUBLES // (spec.sides * spec.nx * spec.ny)
@@ -89,8 +87,7 @@ def test_run_works_with_forward_wrapped_as_strict_self_z(tmp_path, monkeypatch):
     # the benchmark's step clock replaces Model.forward by a plain
     # forward(self, z) function; the loop must call nothing else through it
     from csgtopo import cli, problem
-    from csgtopo.mma import MmaConfig
-    from csgtopo.problem import ProblemSpec
+    from csgtopo.config import MmaConfig, ProblemSpec
 
     original = problem.Model.forward
     calls = []

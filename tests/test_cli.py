@@ -10,8 +10,9 @@ import pytest
 
 from csgtopo import cli
 from csgtopo.cli import main
-from csgtopo.mma import MmaConfig
-from csgtopo.problem import ConfigError, Model, ProblemSpec, SolverAbort
+from csgtopo.config import (ConfigError, MmaConfig, ProblemSpec, config_from_dict,
+                            spec_to_dict)
+from csgtopo.problem import Model, SolverAbort
 
 QUICK = {
     "nx": 12, "ny": 6, "tree_depth": 2, "sides": 4,
@@ -235,7 +236,7 @@ def test_readme_config_block_is_the_schema():
     doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
     assert set(doc) == {f.name for f in dataclasses.fields(ProblemSpec)}
     assert set(doc["mma"]) == {f.name for f in dataclasses.fields(MmaConfig)}
-    effective = cli.spec_to_dict(cli.config_from_dict(doc))
+    effective = spec_to_dict(config_from_dict(doc))
     assert set(effective) == set(doc)
     assert set(effective["mma"]) == set(doc["mma"])
 
@@ -305,7 +306,7 @@ def test_any_value_of_one_field_is_a_spec_or_names_the_field(key, value):
     else:
         doc, allowed = {**QUICK, key: value}, {key, *ALSO_NAMED.get(key, ())}
     try:
-        spec = cli.config_from_dict(doc)
+        spec = config_from_dict(doc)
     except ConfigError as exc:
         assert str(exc).split(": ", 1)[0] in allowed, str(exc)
     else:
@@ -339,6 +340,21 @@ def test_run_zero_gradient_exits_2_with_history(tmp_path, capsys):
     assert main(["run", "--config", str(write_config(tmp_path, doc)),
                  "--out", str(out)]) == 2
     assert "every gradient entry is zero" in capsys.readouterr().err
+    assert (out / "history.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"vf_star": 1e-300},
+                                       {"mma": {"move_limit": 1e-300}}])
+def test_run_nan_design_update_exits_2_with_history(tmp_path, capsys, overrides):
+    # the MMA update of either config returns NaN entries, which the next
+    # forward pass would reject with a ValueError
+    doc = {"nx": 8, "ny": 4, "tree_depth": 1, **overrides}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: solver failed at iteration " in err
+    assert "Traceback" not in err
     assert (out / "history.csv").exists()
 
 
@@ -679,8 +695,8 @@ def test_tree_document_pruned_nodes_of_a_non_perfect_tree(tmp_path):
     from csgtopo.cli import write_tree_json
     from csgtopo.csg import (DIFFERENCE, NEGATIVE_DIFFERENCE, UNION, PrunedNode,
                              PrunedTree)
-    from csgtopo.problem import ProblemSpec, optimize
-    from csgtopo.mma import MmaConfig
+    from csgtopo.config import MmaConfig, ProblemSpec
+    from csgtopo.problem import optimize
 
     result = optimize(ProblemSpec(nx=8, ny=4, tree_depth=2, sides=4,
                                   mma=MmaConfig(max_iter=2)))
@@ -714,8 +730,8 @@ def test_tree_document_handles_empty_design(tmp_path):
     # writers keep producing valid documents
     from csgtopo.cli import write_summary, write_tree_json
     from csgtopo.csg import PrunedTree
-    from csgtopo.problem import ProblemSpec, optimize
-    from csgtopo.mma import MmaConfig
+    from csgtopo.config import MmaConfig, ProblemSpec
+    from csgtopo.problem import optimize
 
     result = optimize(ProblemSpec(nx=8, ny=4, tree_depth=1, sides=4,
                                   mma=MmaConfig(max_iter=2)))

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from csgtopo import mma, problem
-from csgtopo.mma import MmaConfig, MmaState, kkt_residual, mma_update
-from csgtopo.problem import ProblemSpec
+from csgtopo.config import MmaConfig, ProblemSpec
+from csgtopo.mma import MmaState, kkt_residual, mma_update
 
 
 def run_toy(objective, gradient, constraint, cgrad, x0, iters=50,
             cfg=MmaConfig()):
     """Drive MMA on a toy problem; returns iterates and final state."""
     z = np.array(x0, dtype=float)
-    state = MmaState.fresh()
+    state = MmaState()
     trail = [z.copy()]
     for _ in range(iters):
         z_new, state = mma_update(z, objective(z), gradient(z), constraint(z),
@@ -63,7 +63,7 @@ def test_symmetric_volume_style_problem():
 def test_move_limit_is_hard():
     cfg = MmaConfig(move_limit=0.05)
     z = np.full(5, 0.5)
-    state = MmaState.fresh()
+    state = MmaState()
     dj = np.array([1e6, -1e6, 1e3, -1e3, 0.0])
     z_new, _ = mma_update(z, 1.0, dj, -1.0, np.zeros(5), state, cfg)
     assert np.abs(z_new - z).max() <= 0.05 + 1e-15
@@ -72,7 +72,7 @@ def test_move_limit_is_hard():
 def test_iterates_stay_in_bounds_exactly():
     cfg = MmaConfig()
     z = np.array([0.0, 1.0, 0.02, 0.98])
-    state = MmaState.fresh()
+    state = MmaState()
     dj = np.array([1.0, -1.0, 5.0, -5.0])  # push further into the bounds
     z_new, _ = mma_update(z, 1.0, dj, -1.0, np.zeros(4), state, cfg)
     assert (z_new >= 0.0).all() and (z_new <= 1.0).all()
@@ -81,7 +81,7 @@ def test_iterates_stay_in_bounds_exactly():
 def test_update_is_deterministic():
     def once():
         z = np.linspace(0.1, 0.9, 6)
-        state = MmaState.fresh()
+        state = MmaState()
         out = []
         for _ in range(5):
             dj = np.sin(z * 7.0)
@@ -96,7 +96,7 @@ def test_update_is_deterministic():
 
 
 def test_rejects_non_finite_inputs():
-    state = MmaState.fresh()
+    state = MmaState()
     z = np.array([0.5])
     with pytest.raises(ValueError):
         mma_update(z, 1.0, np.array([np.nan]), 0.0, np.array([1.0]), state,
@@ -132,7 +132,7 @@ def test_config_validation():
         MmaConfig(kkt_tol=-1.0)
     with pytest.raises(ValueError):
         MmaConfig(max_iter=0)
-    with pytest.raises(ValueError, match="^move_limit: "):
+    with pytest.raises(ValueError, match="^mma: move_limit: "):
         MmaConfig(move_limit=10 ** 5000)
 
 

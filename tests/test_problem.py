@@ -7,9 +7,8 @@ import pytest
 
 from csgtopo import fea, geometry
 from csgtopo.csg import one_hot, softmax_encode
-from csgtopo.mma import MmaConfig
-from csgtopo.problem import (MAX_TAPE_DOUBLES, ConfigError, Model, ProblemSpec,
-                             SolverAbort, builtin_problem, initialize, optimize)
+from csgtopo.config import MAX_TAPE_DOUBLES, ConfigError, MmaConfig, ProblemSpec
+from csgtopo.problem import Model, SolverAbort, builtin_problem, initialize, optimize
 
 
 def quick_spec(**overrides):

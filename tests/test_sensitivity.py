@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csgtopo import fea
-from csgtopo.problem import Model, ProblemSpec, initialize
+from csgtopo.config import ProblemSpec
+from csgtopo.problem import Model, initialize
 from csgtopo.sensitivity import FdEntry, central_difference, fd_check, grad_volume
 from conftest import connected_design
 
