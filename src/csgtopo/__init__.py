@@ -2,9 +2,8 @@
 differentiable Boolean operation tree: geometry projection, tree evaluation,
 plane-stress FEA with SIMP, analytic sensitivities, and an MMA driver."""
 
-from .csg import (CsgTree, OPERATOR_NAMES, PrunedTree, combine, combine_grad_operand,
-                  combine_grad_weights, evaluate_tree_values, prune, snap_to_onehot,
-                  softmax_encode)
+from .csg import (CsgTree, OPERATOR_NAMES, combine, combine_grad_operand,
+                  combine_grad_weights, evaluate_tree_values, prune, snap, softmax_encode)
 # geometry before fea: loading scipy.special ahead of scipy.sparse and
 # scipy.linalg measured about 20 ms faster for a fresh `import csgtopo`
 from .geometry import (DensityField, PolygonParams, ProjectionConfig, base_angles,

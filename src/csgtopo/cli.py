@@ -78,65 +78,46 @@ def write_timings(path: Path, history) -> None:
     _records_csv(path, history, ("t_projection", "t_tree", "t_fea_sens", "t_total"))
 
 
-def write_design_csv(path: Path, field) -> None:
-    """Row-major densities, one grid row (fixed y) per line, full precision."""
-    mesh = field.mesh
-    rows = field.values.reshape(mesh.ny, mesh.nx)
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
+def write_design_csv(path: Path, values: np.ndarray, shape: tuple[int, int]) -> None:
+    """Row-major densities of an (ny, nx) mesh, one grid row (fixed y) per
+    line, full precision."""
+    lines = [",".join(_fmt(v) for v in row) for row in values.reshape(shape)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_design_pgm(path: Path, field) -> None:
-    """8-bit ASCII graymap, 255 = solid; image rows run top to bottom."""
-    mesh = field.mesh
-    pix = np.rint(255.0 * field.values.reshape(mesh.ny, mesh.nx)).astype(int)
-    pix = np.clip(pix[::-1], 0, 255)
-    lines = ["P2", f"{mesh.nx} {mesh.ny}", "255"]
+def write_design_pgm(path: Path, values: np.ndarray, shape: tuple[int, int]) -> None:
+    """8-bit ASCII graymap of an (ny, nx) mesh, 255 = solid; image rows run
+    top to bottom."""
+    pix = np.clip(np.rint(255.0 * values.reshape(shape)).astype(int)[::-1], 0, 255)
+    lines = ["P2", f"{shape[1]} {shape[0]}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in pix)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _leaf_node(result: OptimizeResult, nid: int, primitive: int) -> dict:
-    p = result.params[primitive]
-    return {"id": nid, "kind": "leaf", "primitive": primitive,
-            "params": {"cx": p.cx, "cy": p.cy, "theta": p.theta, "d": list(p.d)}}
+def write_tree_json(path: Path, result: OptimizeResult, spec: ProblemSpec) -> None:
+    """The snapped tree in heap order, internal nodes first and then leaf
+    n_internal + i holding primitive i, and the pruned tree in preorder,
+    whose node ids are positions in result.pruned."""
+    n_internal = len(result.ops)
 
+    def node(nid: int, k: int, children: list[int]) -> dict:
+        if k < n_internal:
+            return {"id": nid, "kind": "internal", "children": children,
+                    "operator": csg.OPERATOR_NAMES[result.ops[k]]}
+        row = result.rows[k - n_internal]
+        return {"id": nid, "kind": "leaf", "primitive": k - n_internal,
+                "params": {"cx": row[0], "cy": row[1], "theta": row[2],
+                           "d": list(row[3:])}}
 
-def _tree_nodes(result: OptimizeResult) -> list[dict]:
-    """Heap order: internal nodes first, then leaf n_internal + i holding primitive i."""
-    tree = result.snapped_tree
-    n_internal = tree.n_internal
-    nodes = [{
-        "id": k, "kind": "internal", "children": [2 * k + 1, 2 * k + 2],
-        "operator": tree.operator_name(k),
-        "weights": list(result.tree.weights[k]),
-        "frozen": k in tree.frozen,
-    } for k in range(n_internal)]
-    nodes.extend(_leaf_node(result, n_internal + i, i)
-                 for i in range(len(result.params)))
-    return nodes
-
-
-def _pruned_nodes(result: OptimizeResult) -> list[dict] | None:
-    """Preorder: node ids are positions in PrunedTree.nodes()."""
-    pruned = result.pruned_tree
-    if pruned.is_empty:
-        return None
-    order = pruned.nodes()
-    ids = {id(node): nid for nid, node in enumerate(order)}
-    return [_leaf_node(result, nid, node.primitive) if node.is_leaf else
-            {"id": nid, "kind": "internal",
-             "children": [ids[id(node.left)], ids[id(node.right)]],
-             "operator": csg.OPERATOR_NAMES[node.operator]}
-            for nid, node in enumerate(order)]
-
-
-def write_tree_json(path: Path, result: OptimizeResult) -> None:
-    doc = {
-        "depth": result.snapped_tree.depth,
-        "nodes": _tree_nodes(result),
-        "pruned": {"empty": result.empty_design, "nodes": _pruned_nodes(result)},
-    }
+    nodes = [node(k, k, [2 * k + 1, 2 * k + 2]) for k in range(2 * n_internal + 1)]
+    for k in range(n_internal):
+        nodes[k].update(weights=list(result.weights[k]),
+                        frozen=k in spec.frozen_operators)
+    ids = {k: nid for nid, (k, _, _) in enumerate(result.pruned)}
+    pruned = [node(nid, k, [ids[left], ids[right]] if left >= 0 else [])
+              for nid, (k, left, right) in enumerate(result.pruned)]
+    doc = {"depth": spec.tree_depth, "nodes": nodes,
+           "pruned": {"empty": result.empty_design, "nodes": pruned or None}}
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -185,9 +166,10 @@ def execute_run(spec: ProblemSpec, outdir: Path) -> dict:
         raise
     write_history(outdir / "history.csv", result.history)
     write_timings(outdir / "timings.csv", result.history)
-    write_design_csv(outdir / "design.csv", result.field_snapped)
-    write_design_pgm(outdir / "design.pgm", result.field_snapped)
-    write_tree_json(outdir / "tree.json", result)
+    shape = (spec.ny, spec.nx)
+    write_design_csv(outdir / "design.csv", result.rho_snapped, shape)
+    write_design_pgm(outdir / "design.pgm", result.rho_snapped, shape)
+    write_tree_json(outdir / "tree.json", result, spec)
     summary = write_summary(outdir / "summary.json", result)
     if result.empty_design:
         log.warning("final design is empty after pruning")

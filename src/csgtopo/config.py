@@ -211,6 +211,12 @@ class ProblemSpec:
                  f"primitives x {shown(self.sides)} sides x "
                  f"{shown(self.nx)}x{shown(self.ny)} cells is over the budget of "
                  f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
+        # the solve's banded factor, 2 (ny + 1) + 4 doubles for each of the
+        # 2 (nx + 1)(ny + 1) dofs, outgrows the tape as the mesh grows
+        if (2 * (self.ny + 1) + 4) * 2 * (self.nx + 1) * (self.ny + 1) > MAX_TAPE_DOUBLES:
+            fail("ny" if self.ny > self.nx else "nx", f"the solve's band of a "
+                 f"{shown(self.nx)}x{shown(self.ny)} mesh is over the budget of "
+                 f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower nx or ny")
         if not 0 < self.resolved_emin < self.e0:
             fail("emin", f"must satisfy 0 < emin < e0, got {shown(self.resolved_emin)}")
         for name, (lo, hi) in self.bounds().items():

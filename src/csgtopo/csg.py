@@ -11,7 +11,8 @@ always the rx operand.
 The tree lives in heap-ordered arrays: an (n_internal, 4) weight array and
 an (n_leaves, n_cells) array of leaf fields, leaf i holding primitive i.
 evaluate_tree_values and tree_backward walk them a level at a time; prune
-turns a snapped tree into linked PrunedNodes with the empty nodes removed.
+lists the heap nodes of a snapped tree that are left once the empty ones
+are removed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "DIFFERENCE",
     "NEGATIVE_DIFFERENCE",
     "CsgTree",
-    "PrunedNode",
-    "PrunedTree",
     "one_hot",
     "softmax_encode",
     "combine",
@@ -38,7 +37,7 @@ __all__ = [
     "walk_scratch",
     "evaluate_tree_values",
     "tree_backward",
-    "snap_to_onehot",
+    "snap",
     "prune",
 ]
 
@@ -99,12 +98,10 @@ def combine_grad_weights(rx, ry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return prod, rx + ry - prod, rx - prod, ry - prod
 
 
-def snap_to_onehot(b) -> np.ndarray:
-    """One-hot at the largest weight; ties go to the lowest operator index."""
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != 4:
-        raise ValueError(f"expected 4 weights, got {b.size}")
-    return one_hot(int(np.argmax(b)))
+def snap(weights) -> np.ndarray:
+    """(n, 4) weight rows, each one-hot at its largest weight; ties go to the
+    lowest operator index."""
+    return np.eye(4)[np.argmax(weights, axis=-1)]
 
 
 @dataclass(eq=False)
@@ -143,13 +140,9 @@ class CsgTree:
     def n_internal(self) -> int:
         return 2 ** self.depth - 1
 
-    def operator_name(self, k: int) -> str:
-        return OPERATOR_NAMES[int(np.argmax(self.weights[k]))]
-
     def snapped(self) -> "CsgTree":
         """Every node snapped to its one-hot operator."""
-        w = np.vstack([snap_to_onehot(row) for row in self.weights])
-        return CsgTree(self.depth, w, dict(self.frozen))
+        return CsgTree(self.depth, snap(self.weights), dict(self.frozen))
 
 
 def walk_scratch(n_leaves: int, n_cells: int, n_seeds: int = 1) -> np.ndarray:
@@ -286,67 +279,15 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray, seed: np.ndarray
     return g, weight_grads
 
 
-@dataclass(eq=False)
-class PrunedNode:
-    """Node of a pruned, possibly non-perfect tree."""
-
-    operator: int | None = None          # set for internal nodes
-    primitive: int | None = None         # set for leaves
-    left: "PrunedNode | None" = None
-    right: "PrunedNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.primitive is not None
-
-
-@dataclass(eq=False)
-class PrunedTree:
-    """Result of pruning; root is None when the whole design is empty."""
-
-    root: PrunedNode | None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None
-
-    def nodes(self) -> list[PrunedNode]:
-        """Preorder node list."""
-        out: list[PrunedNode] = []
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
-
-
-def _pruned_values(node: PrunedNode, leaf_values: np.ndarray) -> np.ndarray:
-    if node.is_leaf:
-        return leaf_values[node.primitive]
-    vx = _pruned_values(node.left, leaf_values)
-    vy = _pruned_values(node.right, leaf_values)
-    return combine(vx, vy, one_hot(node.operator))
-
-
-def evaluate_pruned_values(tree: PrunedTree, leaf_values: np.ndarray) -> np.ndarray:
-    """Root field of a pruned tree; an empty tree evaluates to zero."""
-    if tree.is_empty:
-        return np.zeros(leaf_values.shape[1])
-    return _pruned_values(tree.root, leaf_values)
-
-
 def _prune_subtree(k: int, ops: np.ndarray, leaf_values: np.ndarray,
-                   eps: float) -> tuple[PrunedNode, np.ndarray] | None:
-    """The pruned subtree at heap node k and its field; None when empty."""
+                   eps: float) -> tuple[list[tuple[int, int, int]], np.ndarray] | None:
+    """The pruned subtree at heap node k in preorder and its field; None when empty."""
     n_internal = len(ops)
     if k >= n_internal:
         values = leaf_values[k - n_internal]
         if float(values.max()) < eps:
             return None
-        return PrunedNode(primitive=k - n_internal), values
+        return [(k, -1, -1)], values
     left = _prune_subtree(2 * k + 1, ops, leaf_values, eps)
     right = _prune_subtree(2 * k + 2, ops, leaf_values, eps)
     op = int(ops[k])
@@ -361,25 +302,31 @@ def _prune_subtree(k: int, ops: np.ndarray, leaf_values: np.ndarray,
     values = combine(left[1], right[1], one_hot(op))
     if float(values.max()) < eps:
         return None
-    return PrunedNode(operator=op, left=left[0], right=right[0]), values
+    return [(k, left[0][0][0], right[0][0][0]), *left[0], *right[0]], values
 
 
-def prune(tree: CsgTree, leaf_values: np.ndarray, eps_empty: float = 0.01) -> PrunedTree:
-    """Drop empty nodes from a snapped tree.
+def prune(ops, leaf_values: np.ndarray,
+          eps_empty: float = 0.01) -> list[tuple[int, int, int]]:
+    """The nodes of a snapped tree left once its empty nodes are dropped.
 
-    leaf_values is the (n_leaves, n_cells) array of leaf fields.  A node is
+    ops holds the operator index of each internal node in heap order and
+    leaf_values the (n_leaves, n_cells) array of leaf fields.  A node is
     empty when its field peaks below eps_empty.  One bottom-up pass returns
     each surviving subtree with its field: an empty leaf drops out, an
     operand found empty is resolved by the rewrite rules, and a node with
     two surviving operands is kept unless the combination of their fields
-    is empty.  So every surviving node carries a non-empty field.  Requires
-    one-hot weights.
+    is empty.  So every surviving node carries a non-empty field.  The
+    survivors come in preorder as (k, left, right) heap indices, where left
+    and right are the surviving nodes that stand in for k's operands and
+    -1 at a leaf; the list is empty when the whole design is.
     """
-    ops = np.argmax(tree.weights, axis=1)
-    if not np.array_equal(tree.weights, np.eye(4)[ops]):
-        raise ValueError("prune requires a snapped (one-hot) tree")
-    kept = _prune_subtree(0, ops, np.asarray(leaf_values, dtype=float), eps_empty)
+    ops = np.asarray(ops)
+    leaf_values = np.asarray(leaf_values, dtype=float)
+    if len(leaf_values) != len(ops) + 1:
+        raise ValueError(f"{len(leaf_values)} leaf fields do not fit a tree with "
+                         f"{len(ops)} operators")
+    kept = _prune_subtree(0, ops, leaf_values, eps_empty)
     if kept is None:
         log.warning("pruning removed every node: the design is empty")
-        return PrunedTree(None)
-    return PrunedTree(kept[0])
+        return []
+    return kept[0]

@@ -329,12 +329,12 @@ class RunHistory:
 @dataclass(eq=False)
 class OptimizeResult:
     z: np.ndarray
-    params: list
-    tree: csg.CsgTree                  # relaxed (softmax) weights
-    snapped_tree: csg.CsgTree
-    pruned_tree: csg.PrunedTree
-    field: geometry.DensityField       # relaxed root field
-    field_snapped: geometry.DensityField
+    rows: np.ndarray                   # (n_p, 3 + S) rows cx, cy, theta, d[0..S-1]
+    weights: np.ndarray                # relaxed (softmax) weights, heap order
+    ops: np.ndarray                    # snapped operator index of each internal node
+    pruned: list[tuple[int, int, int]]  # csg.prune's surviving nodes
+    rho: np.ndarray                    # clipped relaxed root field
+    rho_snapped: np.ndarray
     J: float                           # relaxed compliance
     J_snapped: float
     g_v: float
@@ -345,7 +345,7 @@ class OptimizeResult:
 
     @property
     def empty_design(self) -> bool:
-        return self.pruned_tree.is_empty
+        return not self.pruned
 
 
 def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
@@ -414,30 +414,28 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
 def _finalize(model: Model, z: np.ndarray, history: RunHistory,
               reason: str) -> OptimizeResult:
     rows, weights = model._denormalize_rows(z)
-    tree = csg.CsgTree(model.spec.tree_depth, weights, model.frozen)
     # the last projection fills the loop's workspace, which the Model then
     # drops: nothing of the size of the tape is allocated again
     node_values = model._project(rows).node_values
     model._release()
     leaf_values = node_values[model.spec.n_operators:]
 
-    def solve_tree(t: csg.CsgTree):
+    def solve_tree(w: np.ndarray):
         try:
             root, _, j_val, g_v = model._solve(
-                csg.evaluate_tree_values(t.weights, leaf_values, out=node_values))
+                csg.evaluate_tree_values(w, leaf_values, out=node_values))
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
-        return geometry.DensityField(root, model.mesh), j_val, g_v
+        return root, j_val, g_v
 
-    field, j_relaxed, g_relaxed = solve_tree(tree)
-    snapped = tree.snapped()
-    field_snapped, j_snapped, g_snapped = solve_tree(snapped)
-    pruned = csg.prune(snapped, leaf_values)
+    rho, j_relaxed, g_relaxed = solve_tree(weights)
+    snapped = csg.snap(weights)
+    rho_snapped, j_snapped, g_snapped = solve_tree(snapped)
+    ops = snapped.argmax(axis=1)
 
     return OptimizeResult(
-        z=np.array(z), params=model.denormalize(z)[0], tree=tree, snapped_tree=snapped,
-        pruned_tree=pruned, field=field, field_snapped=field_snapped,
+        z=np.array(z), rows=rows, weights=weights, ops=ops,
+        pruned=csg.prune(ops, leaf_values), rho=rho, rho_snapped=rho_snapped,
         J=j_relaxed, J_snapped=j_snapped, g_v=g_relaxed, g_v_snapped=g_snapped,
         iterations=len(history), reason=reason, history=history,
     )
-

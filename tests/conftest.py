@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from csgtopo import ProblemSpec
+from csgtopo.csg import combine, one_hot
 from csgtopo.fea import Mesh
 from csgtopo.geometry import ProjectionConfig
 
@@ -60,3 +61,22 @@ def connected_design(spec: ProblemSpec) -> np.ndarray:
     ]).ravel()
     z[28:40] = [0.35, 0.75, 0.5, 0.4, 0.3, 0.8, 0.45, 0.5, 0.45, 0.7, 0.55, 0.35]
     return z
+
+
+def pruned_values(pruned: list, ops, leaf_values: np.ndarray,
+                  k: int | None = None) -> np.ndarray:
+    """Field of heap node k of a csg.prune list (its first node, the root,
+    when k is omitted), combined from the leaf fields through the kept
+    nodes alone; an empty list evaluates to zero."""
+    if not pruned:
+        return np.zeros(leaf_values.shape[1])
+    children = {node: (left, right) for node, left, right in pruned}
+    n_internal = len(ops)
+
+    def value(node):
+        left, right = children[node]
+        if left < 0:
+            return leaf_values[node - n_internal]
+        return combine(value(left), value(right), one_hot(int(ops[node])))
+
+    return value(pruned[0][0] if k is None else k)

@@ -4,6 +4,7 @@ The long-running structural benchmarks share session fixtures, so the whole
 suite costs a handful of full optimization runs.
 """
 
+import concurrent.futures
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from csgtopo.config import MmaConfig, ProblemSpec
 from csgtopo.mma import MmaState, mma_update
 from csgtopo.problem import Model, builtin_problem, optimize
 from csgtopo.sensitivity import fd_check
-from conftest import connected_design
+from conftest import connected_design, pruned_values
 
 EPS_EMPTY = 0.01
 
@@ -41,7 +42,7 @@ def mbb_leaf_values(mbb_default):
     result, _ = mbb_default
     model = Model(ProblemSpec())
     return np.vstack([rasterize_primitive(p, model.grid, model.cfg).values
-                      for p in result.params])
+                      for p in model.denormalize(result.z)[0]])
 
 
 def test_criterion_1_boolean_table_exactness():
@@ -152,14 +153,14 @@ def test_criterion_5_mesh_study(mbb_default):
 def test_criterion_6_operator_freezes():
     spec_a = ProblemSpec(frozen_operators={0: "difference"})
     res_a = optimize(spec_a)
-    root_op = res_a.snapped_tree.operator_name(0)
+    root_op = csg.OPERATOR_NAMES[res_a.ops[0]]
     ok_a = (root_op == "difference" and res_a.g_v <= 1e-2
             and 55.0 <= res_a.J_snapped <= 110.0
             and res_a.iterations <= 200)
 
     spec_b = ProblemSpec(frozen_operators={k: "union" for k in range(15)})
     res_b = optimize(spec_b)
-    ops = {res_b.snapped_tree.operator_name(k) for k in range(15)}
+    ops = {csg.OPERATOR_NAMES[res_b.ops[k]] for k in range(15)}
     ok_b = (ops == {"union"} and res_b.g_v <= 1e-2
             and 55.0 <= res_b.J_snapped <= 110.0
             and res_b.iterations <= 200)
@@ -173,24 +174,16 @@ def test_criterion_6_operator_freezes():
 def test_criterion_7_pruning_fidelity(mbb_default, mbb_leaf_values):
     t0 = time.perf_counter()
     result, _ = mbb_default
-    snapped = result.snapped_tree
-    full_root = evaluate_tree_values(snapped.weights, mbb_leaf_values)[0]
-    pruned = prune(snapped, mbb_leaf_values, EPS_EMPTY)
-    pruned_root = csg.evaluate_pruned_values(pruned, mbb_leaf_values)
+    ops = result.ops
+    full_root = evaluate_tree_values(np.eye(4)[ops], mbb_leaf_values)[0]
+    pruned = prune(ops, mbb_leaf_values, EPS_EMPTY)
+    pruned_root = pruned_values(pruned, ops, mbb_leaf_values)
     deviation = float(np.abs(full_root - pruned_root).max())
 
-    weak_nodes = 0
-    if not pruned.is_empty:
-        def walk(node):
-            nonlocal weak_nodes
-            values = csg.evaluate_pruned_values(csg.PrunedTree(node),
-                                                mbb_leaf_values)
-            if float(values.max()) < EPS_EMPTY:
-                weak_nodes += 1
-            if not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-        walk(pruned.root)
+    # every kept node's subtree, evaluated from the leaves
+    weak_nodes = sum(
+        1 for k, _, _ in pruned
+        if float(pruned_values(pruned, ops, mbb_leaf_values, k).max()) < EPS_EMPTY)
     elapsed = time.perf_counter() - t0
     ok = deviation <= 2 * EPS_EMPTY and weak_nodes == 0 and elapsed < 10.0
     report(7, "pruning fidelity", ok,
@@ -199,12 +192,14 @@ def test_criterion_7_pruning_fidelity(mbb_default, mbb_leaf_values):
 
 
 def test_criterion_8_pareto_monotonicity():
-    js = []
+    specs = []
     for vf in (0.3, 0.4, 0.5, 0.6):
         spec = ProblemSpec(nx=100, ny=50, tree_depth=6, vf_star=vf,
                            benchmark="mid_cantilever")
-        res = optimize(spec)
-        js.append(res.J_snapped)
+        specs.append(spec)
+    # the runs are independent, and each is the same bit for bit in a worker
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        js = [res.J_snapped for res in pool.map(optimize, specs)]
     ok = all(js[i + 1] <= 1.05 * js[i] for i in range(len(js) - 1))
     report(8, "Pareto monotonicity", ok,
            "J(vf*): " + ", ".join(f"{v:.2f}" for v in js)

@@ -424,6 +424,42 @@ def test_tree_document_structure(tmp_path):
         assert isinstance(pruned["nodes"], list)
 
 
+def test_artifacts_describe_one_design(tmp_path):
+    # the leaf polygons of tree.json, projected again, rebuild design.csv:
+    # through the full snapped tree bit for bit, through the pruned nodes
+    # within twice the pruning threshold
+    from csgtopo.csg import OPERATOR_NAMES, combine, evaluate_tree_values, one_hot
+    from csgtopo.geometry import rasterize_with_tape
+
+    doc = {**QUICK, "nx": 16, "ny": 8, "tree_depth": 3, "seed": 1,
+           "frozen_operators": {"1": "negative_difference", "2": "difference"}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    model = Model(config_from_dict(json.loads((out / "config.json").read_text())))
+    tree = json.loads((out / "tree.json").read_text())
+    design = np.array([[float(v) for v in line.split(",")]
+                       for line in (out / "design.csv").read_text().splitlines()]).ravel()
+    nodes, pruned = tree["nodes"], tree["pruned"]["nodes"]
+    assert 0 < len(pruned) < len(nodes)
+    rows = np.array([[n["params"][key] for key in ("cx", "cy", "theta")] + n["params"]["d"]
+                     for n in nodes if n["kind"] == "leaf"])
+    leaves = rasterize_with_tape(rows, model.mesh, model.cfg)[0]
+    ops = [OPERATOR_NAMES.index(n["operator"]) for n in nodes if n["kind"] == "internal"]
+    full = np.clip(evaluate_tree_values(np.eye(4)[ops], leaves)[0], 0.0, 1.0)
+    assert full.tobytes() == design.tobytes()
+
+    def value(nid):
+        node = pruned[nid]
+        if node["kind"] == "leaf":
+            return leaves[node["primitive"]]
+        left, right = node["children"]
+        return combine(value(left), value(right),
+                       one_hot(OPERATOR_NAMES.index(node["operator"])))
+
+    assert np.abs(value(0) - design).max() <= 2 * 0.01
+
+
 # -- check-grad ------------------------------------------------------------------
 
 # generous offsets keep the seeded random design connected and a small load
@@ -693,19 +729,17 @@ def test_sweep_rejects_non_numeric_value(tmp_path, capsys):
 def test_tree_document_pruned_nodes_of_a_non_perfect_tree(tmp_path):
     # ids follow preorder and children point at them, whatever the tree's shape
     from csgtopo.cli import write_tree_json
-    from csgtopo.csg import (DIFFERENCE, NEGATIVE_DIFFERENCE, UNION, PrunedNode,
-                             PrunedTree)
+    from csgtopo.csg import DIFFERENCE, NEGATIVE_DIFFERENCE, UNION
     from csgtopo.config import MmaConfig, ProblemSpec
     from csgtopo.problem import optimize
 
-    result = optimize(ProblemSpec(nx=8, ny=4, tree_depth=2, sides=4,
-                                  mma=MmaConfig(max_iter=2)))
-    inner = PrunedNode(operator=NEGATIVE_DIFFERENCE, left=PrunedNode(primitive=0),
-                       right=PrunedNode(primitive=3))
-    left = PrunedNode(operator=DIFFERENCE, left=PrunedNode(primitive=1), right=inner)
-    result.pruned_tree = PrunedTree(PrunedNode(operator=UNION, left=left,
-                                               right=PrunedNode(primitive=2)))
-    write_tree_json(tmp_path / "tree.json", result)
+    spec = ProblemSpec(nx=8, ny=4, tree_depth=3, sides=4, mma=MmaConfig(max_iter=2))
+    result = optimize(spec)
+    # heap nodes 3 and 2 collapsed onto leaves 8 and 13, primitives 1 and 6
+    result.ops[[0, 1, 4]] = UNION, DIFFERENCE, NEGATIVE_DIFFERENCE
+    result.pruned = [(0, 1, 13), (1, 8, 4), (8, -1, -1), (4, 9, 10), (9, -1, -1),
+                     (10, -1, -1), (13, -1, -1)]
+    write_tree_json(tmp_path / "tree.json", result, spec)
     pruned = json.loads((tmp_path / "tree.json").read_text())["pruned"]
     assert pruned["empty"] is False
     nodes = pruned["nodes"]
@@ -717,26 +751,25 @@ def test_tree_document_pruned_nodes_of_a_non_perfect_tree(tmp_path):
     assert internal == {0: ([1, 6], "union"), 1: ([2, 3], "difference"),
                         3: ([4, 5], "negative_difference")}
     leaves = {n["id"]: n["primitive"] for n in nodes if n["kind"] == "leaf"}
-    assert leaves == {2: 1, 4: 0, 5: 3, 6: 2}
+    assert leaves == {2: 1, 4: 2, 5: 3, 6: 6}
     for n in nodes:
         if n["kind"] == "leaf":
-            p = result.params[n["primitive"]]
-            assert n["params"] == {"cx": p.cx, "cy": p.cy, "theta": p.theta,
-                                   "d": list(p.d)}
+            row = result.rows[n["primitive"]]
+            assert n["params"] == {"cx": row[0], "cy": row[1], "theta": row[2],
+                                   "d": list(row[3:])}
 
 
 def test_tree_document_handles_empty_design(tmp_path):
     # doctor a finished result into the fully-pruned state and make sure the
     # writers keep producing valid documents
     from csgtopo.cli import write_summary, write_tree_json
-    from csgtopo.csg import PrunedTree
     from csgtopo.config import MmaConfig, ProblemSpec
     from csgtopo.problem import optimize
 
-    result = optimize(ProblemSpec(nx=8, ny=4, tree_depth=1, sides=4,
-                                  mma=MmaConfig(max_iter=2)))
-    result.pruned_tree = PrunedTree(None)
-    write_tree_json(tmp_path / "tree.json", result)
+    spec = ProblemSpec(nx=8, ny=4, tree_depth=1, sides=4, mma=MmaConfig(max_iter=2))
+    result = optimize(spec)
+    result.pruned = []
+    write_tree_json(tmp_path / "tree.json", result, spec)
     write_summary(tmp_path / "summary.json", result)
     doc = json.loads((tmp_path / "tree.json").read_text())
     assert doc["pruned"] == {"empty": True, "nodes": None}

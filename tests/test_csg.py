@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csgtopo.csg import (CsgTree, DIFFERENCE, INTERSECTION, NEGATIVE_DIFFERENCE,
-                         OPERATOR_NAMES, UNION, PrunedNode, PrunedTree, combine,
-                         combine_grad_operand, combine_grad_weights,
-                         evaluate_pruned_values, evaluate_tree_values, one_hot,
-                         prune, snap_to_onehot, softmax_encode, tree_backward)
-from conftest import cell_centers
+                         OPERATOR_NAMES, UNION, combine, combine_grad_operand,
+                         combine_grad_weights, evaluate_tree_values, one_hot, prune, snap,
+                         softmax_encode, tree_backward)
+from conftest import cell_centers, pruned_values
 from csgtopo.fea import Mesh
 from csgtopo.geometry import (PolygonParams, ProjectionConfig, halfspace_sdfs,
                               rasterize_primitive)
@@ -280,11 +279,9 @@ def test_tree_backward_matches_fd():
 # -- snapping and tree validation ---------------------------------------------------
 
 def test_snap_argmax_and_ties():
-    assert np.array_equal(snap_to_onehot([0.1, 0.6, 0.2, 0.1]), one_hot(UNION))
-    assert np.array_equal(snap_to_onehot([0.25, 0.25, 0.25, 0.25]),
-                          one_hot(INTERSECTION))
-    for op in range(4):
-        assert np.array_equal(snap_to_onehot(one_hot(op)), one_hot(op))
+    rows = np.array([[0.1, 0.6, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25]])
+    assert np.array_equal(snap(rows), [one_hot(UNION), one_hot(INTERSECTION)])
+    assert np.array_equal(snap(np.eye(4)), np.eye(4))
 
 
 def test_tree_frozen_validation():
@@ -311,18 +308,14 @@ def test_tree_rejects_nan_weights(row):
 def test_prune_union_identity():
     a = np.array([0.9, 0.8, 0.0, 0.0])
     empty = np.zeros(4)
-    tree = CsgTree(1, one_hot(UNION)[None, :])
-    pruned = prune(tree, np.vstack([a, empty]))
-    assert not pruned.is_empty
-    assert pruned.root.is_leaf and pruned.root.primitive == 0
+    # heap node 1 is the left leaf, primitive 0
+    assert prune([UNION], np.vstack([a, empty])) == [(1, -1, -1)]
 
 
 def test_prune_intersection_annihilates():
     a = np.array([0.9, 0.8, 0.0, 0.0])
     empty = np.zeros(4)
-    tree = CsgTree(1, one_hot(INTERSECTION)[None, :])
-    pruned = prune(tree, np.vstack([a, empty]))
-    assert pruned.is_empty
+    assert prune([INTERSECTION], np.vstack([a, empty])) == []
 
 
 @pytest.mark.parametrize("op,left_empty,expect", [
@@ -335,30 +328,19 @@ def test_prune_rule_table(op, left_empty, expect):
     solid = np.array([0.9, 0.8, 0.7, 0.6])
     empty = np.zeros(4)
     leaves = np.vstack([empty, solid] if left_empty else [solid, empty])
-    tree = CsgTree(1, one_hot(op)[None, :])
-    pruned = prune(tree, leaves)
+    pruned = prune([op], leaves)
     if expect == "empty":
-        assert pruned.is_empty
+        assert pruned == []
     else:
-        assert pruned.root.is_leaf
-        assert pruned.root.primitive == (1 if expect == "right" else 0)
+        assert pruned == [(2 if expect == "right" else 1, -1, -1)]
 
 
 def test_prune_no_empty_nodes_is_noop():
     rng = np.random.default_rng(6)
     leaves = rng.uniform(0.3, 1.0, size=(4, 10))
-    weights = np.vstack([one_hot(UNION), one_hot(INTERSECTION), one_hot(UNION)])
-    tree = CsgTree(2, weights)
-    pruned = prune(tree, leaves)
-    nodes = pruned.nodes()
-    assert sum(1 for n in nodes if n.is_leaf) == 4
-    assert sum(1 for n in nodes if not n.is_leaf) == 3
-
-
-def test_prune_requires_snapped():
-    tree = CsgTree(1, np.full((1, 4), 0.25))
-    with pytest.raises(ValueError):
-        prune(tree, np.zeros((2, 4)))
+    pruned = prune([UNION, INTERSECTION, UNION], leaves)
+    assert pruned == [(0, 1, 2), (1, 3, 4), (3, -1, -1), (4, -1, -1),
+                      (2, 5, 6), (5, -1, -1), (6, -1, -1)]
 
 
 def test_prune_fidelity_with_near_empty_leaves():
@@ -373,24 +355,32 @@ def test_prune_fidelity_with_near_empty_leaves():
         for i in range(4):
             if rng.random() < 0.5:
                 leaves[i] = rng.uniform(0.0, 0.5 * eps, size=30)
-        tree = CsgTree(2, weights)
         full = np.clip(evaluate_tree_values(weights, leaves)[0], 0.0, 1.0)
-        pruned = prune(tree, leaves, eps)
-        reduced = evaluate_pruned_values(pruned, leaves)
+        reduced = pruned_values(prune(ops, leaves, eps), ops, leaves)
         assert np.abs(full - reduced).max() <= 2 * eps
 
 
-def _reference_prune_pass(node, leaf_values, eps):
+def _reference_values(node, ops, leaf_values):
+    # a node is a leaf's heap index or a (k, left, right) tuple of nodes
+    if isinstance(node, int):
+        return leaf_values[node - len(ops)]
+    k, left, right = node
+    return combine(_reference_values(left, ops, leaf_values),
+                   _reference_values(right, ops, leaf_values), one_hot(int(ops[k])))
+
+
+def _reference_prune_pass(node, ops, leaf_values, eps):
     # one sweep of the fixpoint prune, which re-evaluated each kept node's
     # whole subtree from the leaves; None stands for empty
-    if node.is_leaf:
-        if float(leaf_values[node.primitive].max()) < eps:
+    if isinstance(node, int):
+        if float(leaf_values[node - len(ops)].max()) < eps:
             return None, True
         return node, False
-    left, changed_l = _reference_prune_pass(node.left, leaf_values, eps)
-    right, changed_r = _reference_prune_pass(node.right, leaf_values, eps)
+    k, left, right = node
+    left, changed_l = _reference_prune_pass(left, ops, leaf_values, eps)
+    right, changed_r = _reference_prune_pass(right, ops, leaf_values, eps)
     changed = changed_l or changed_r
-    op = node.operator
+    op = int(ops[k])
     if left is None and right is None:
         return None, True
     if left is None:
@@ -399,34 +389,34 @@ def _reference_prune_pass(node, leaf_values, eps):
     if right is None:
         keep = op in (UNION, DIFFERENCE)
         return (left, True) if keep else (None, True)
-    node.left, node.right = left, right
-    if float(evaluate_pruned_values(PrunedTree(node), leaf_values).max()) < eps:
+    node = (k, left, right)
+    if float(_reference_values(node, ops, leaf_values).max()) < eps:
         return None, True
     return node, changed
 
 
-def reference_prune(tree, leaf_values, eps):
-    # the full linked tree, swept until a sweep changes nothing
+def reference_prune(ops, leaf_values, eps):
+    # the full tree, swept until a sweep changes nothing
     def build(k):
-        if k >= tree.n_internal:
-            return PrunedNode(primitive=k - tree.n_internal)
-        return PrunedNode(operator=int(np.argmax(tree.weights[k])),
-                          left=build(2 * k + 1), right=build(2 * k + 2))
+        return k if k >= len(ops) else (k, build(2 * k + 1), build(2 * k + 2))
 
     root = build(0)
     while root is not None:
-        root, changed = _reference_prune_pass(root, leaf_values, eps)
+        root, changed = _reference_prune_pass(root, ops, leaf_values, eps)
         if not changed:
             break
-    return PrunedTree(root)
+    return root
 
 
-def pruned_structure(node):
+def preorder(node):
+    # the (k, left, right) list of a reference tree, as prune returns it
     if node is None:
-        return None
-    if node.is_leaf:
-        return node.primitive
-    return (node.operator, pruned_structure(node.left), pruned_structure(node.right))
+        return []
+    if isinstance(node, int):
+        return [(node, -1, -1)]
+    k, left, right = node
+    left, right = preorder(left), preorder(right)
+    return [(k, left[0][0], right[0][0]), *left, *right]
 
 
 @pytest.mark.parametrize("depth", range(1, 7))
@@ -438,19 +428,19 @@ def test_one_pass_prune_equals_fixpoint_reference(depth):
     n_leaves = 2 ** depth
     outcomes = set()
     for _ in range(60):
-        weights = np.eye(4)[rng.integers(0, 4, size=n_leaves - 1)]
+        ops = rng.integers(0, 4, size=n_leaves - 1)
         leaves = np.where(rng.random((n_leaves, n_cells)) < 0.4,
                           rng.uniform(0.9, 1.0, (n_leaves, n_cells)), 0.0)
         near_empty = rng.random(n_leaves) < 0.3
         leaves[near_empty] = rng.uniform(0.0, 0.5 * eps, (near_empty.sum(), n_cells))
-        tree = CsgTree(depth, weights)
-        got = prune(tree, leaves, eps)
-        want = reference_prune(tree, leaves, eps)
-        assert pruned_structure(got.root) == pruned_structure(want.root)
-        assert evaluate_pruned_values(got, leaves).tobytes() \
-            == evaluate_pruned_values(want, leaves).tobytes()
-        outcomes.add("empty" if got.is_empty
-                     else "pruned" if len(got.nodes()) < 2 * n_leaves - 1 else "full")
+        got = prune(ops, leaves, eps)
+        want = reference_prune(ops, leaves, eps)
+        assert got == preorder(want)
+        if want is not None:
+            assert pruned_values(got, ops, leaves).tobytes() \
+                == _reference_values(want, ops, leaves).tobytes()
+        outcomes.add("empty" if not got
+                     else "pruned" if len(got) < 2 * n_leaves - 1 else "full")
     assert {"empty", "pruned"} <= outcomes
 
 

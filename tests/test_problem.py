@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from csgtopo import fea, geometry
-from csgtopo.csg import one_hot, softmax_encode
-from csgtopo.config import MAX_TAPE_DOUBLES, ConfigError, MmaConfig, ProblemSpec
+from csgtopo.csg import UNION, one_hot, softmax_encode
+from csgtopo.config import (MAX_TAPE_DOUBLES, ConfigError, MmaConfig, ProblemSpec,
+                            config_from_dict)
 from csgtopo.problem import Model, SolverAbort, builtin_problem, initialize, optimize
 
 
@@ -115,6 +116,22 @@ def test_tape_budget_admits_every_documented_config():
     spec = ProblemSpec(nx=100, ny=50, tree_depth=6, benchmark="mid_cantilever")
     spec.validate()
     assert 2 ** 6 * 6 * 100 * 50 * 30 < MAX_TAPE_DOUBLES
+
+
+@pytest.mark.parametrize("doc,name", [
+    ({"nx": 3000, "ny": 3000, "tree_depth": 1, "sides": 3}, "nx"),   # 1.1e11 doubles
+    ({"nx": 10, "ny": 30000, "tree_depth": 1, "sides": 3}, "ny"),    # 4.0e10
+])
+def test_oversized_band_is_rejected_before_allocation(doc, name):
+    # each tape fits the budget, but the solve's band would not
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{name}: the solve's band "):
+            config_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # 12x6 mesh: 2 * 13 * 7 = 182 dofs; the mbb supports and load of that mesh
@@ -343,8 +360,8 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
 @pytest.mark.parametrize("sides", range(3, 9))
 def test_forward_leaf_fields_equal_one_polygon_projections(sides):
     # forward projects the parameter rows; the PolygonParams list of
-    # denormalize is what OptimizeResult.params and the snapped benchmark
-    # compliance read.  8 primitives in blocks of 7: the last block is ragged
+    # denormalize is what the snapped benchmark compliance reads.
+    # 8 primitives in blocks of 7: the last block is ragged
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides)
     model = Model(spec)
     per_block = geometry._BLOCK_DOUBLES // (sides * model.mesh.n_elements)
@@ -529,13 +546,13 @@ def test_optimize_snapped_reporting_is_consistent(quick_result):
     import csgtopo.geometry as geometry
     leaf_values = np.vstack([
         geometry.rasterize_primitive(p, model.mesh, model.cfg).values
-        for p in res.params])
-    root = csg.evaluate_tree_values(res.snapped_tree.weights, leaf_values)[0]
+        for p in model.denormalize(res.z)[0]])
+    root = csg.evaluate_tree_values(np.eye(4)[res.ops], leaf_values)[0]
     _, j_again = fea.analyze(np.clip(root, 0, 1), model.mesh, model.material,
                              model.bcs, model.k0)
     assert j_again == pytest.approx(res.J_snapped, abs=1e-10 * max(1.0, res.J_snapped))
-    for k in range(res.snapped_tree.n_internal):
-        assert np.max(res.snapped_tree.weights[k]) == 1.0
+    assert np.array_equal(root.clip(0, 1), res.rho_snapped)
+    assert np.array_equal(res.ops, res.weights.argmax(axis=1))
 
 
 def test_optimize_depth_study_completes():
@@ -560,14 +577,13 @@ def test_optimize_unconstrained_volume_goes_solid():
                              model.material, model.bcs, model.k0)
     assert res.J >= j_solid - 1e-9
     assert res.J <= 1.6 * j_solid
-    assert res.field.values.mean() > 0.8
+    assert res.rho.mean() > 0.8
 
 
 def test_optimize_all_union_freeze():
     spec = quick_spec(frozen_operators={k: "union" for k in range(3)})
     res = optimize(spec)
-    ops = {res.snapped_tree.operator_name(k) for k in range(3)}
-    assert ops == {"union"}
+    assert np.array_equal(res.ops, [UNION] * 3)
 
 
 def test_optimize_aborts_on_singular_system():
