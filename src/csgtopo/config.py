@@ -95,6 +95,10 @@ class MmaConfig:
         error = field_error(self)
         if error:
             raise ConfigError(f"mma: {error}")
+        # no step is longer than move_limit, so the first would stop the run
+        if not self.step_tol < self.move_limit:
+            raise ConfigError(f"mma: step_tol: must be below move_limit "
+                              f"({shown(self.move_limit)}), got {shown(self.step_tol)}")
 
 
 @dataclass

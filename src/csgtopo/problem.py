@@ -105,14 +105,25 @@ class Model:
         self.frozen = {k: csg.OPERATOR_NAMES.index(v)
                        for k, v in spec.frozen_operators.items()}
         self.free_nodes = [k for k in range(spec.n_operators) if k not in self.frozen]
-        self.bounds = spec.bounds()
-        self.scales = {name: hi - lo for name, (lo, hi) in self.bounds.items()}
         self.n = spec.design_size
         self.full_size = spec.full_size
-        self.full_to_free = self._build_index_map()
-        # what forward and gradients fill, allocated on first use; the
-        # operator weights and displacements of the last forward that
-        # completed, None when there is none to differentiate
+        # the full layout's blocks: name, entries, entries per label row
+        n_p, s = spec.n_primitives, spec.sides
+        self._blocks = (("cx", n_p, 1), ("cy", n_p, 1), ("theta", n_p, 1),
+                        ("d", n_p * s, s), ("b", 4 * spec.n_operators, 4))
+        # each geometry entry of z maps to lo + span * z
+        bounds = spec.bounds()
+        names, counts, _ = zip(*self._blocks[:4])
+        self._lo = np.repeat([float(bounds[name][0]) for name in names], counts)
+        self._span = np.repeat([float(bounds[name][1] - bounds[name][0]) for name in names],
+                               counts)
+        frozen = np.zeros(self.full_size, dtype=bool)
+        frozen[self._lo.size:].reshape(-1, 4)[list(self.frozen)] = True
+        # full layout (all operator slots) -> index into z, -1 when frozen
+        self.full_to_free = np.where(frozen, -1, np.cumsum(~frozen) - 1)
+        # what forward and gradients fill, allocated on first use and kept
+        # for the Model's life; the operator weights and displacements of
+        # the last forward that completed, None when there is none
         self._work: _Workspace | None = None
         self._last: tuple[np.ndarray, np.ndarray] | None = None
         # seconds the last forward spent in projection, tree and solve
@@ -120,32 +131,14 @@ class Model:
 
     # -- design-vector layout ----------------------------------------------
 
-    def _build_index_map(self) -> np.ndarray:
-        """Full layout (all operator slots) -> index into z, -1 when frozen."""
-        spec = self.spec
-        geo = spec.n_primitives * (spec.sides + 3)
-        mapping = np.full(self.full_size, -1, dtype=int)
-        mapping[:geo] = np.arange(geo)
-        offset = geo
-        for node in self.free_nodes:
-            mapping[geo + 4 * node: geo + 4 * node + 4] = np.arange(offset, offset + 4)
-            offset += 4
-        return mapping
-
     def label_for_index(self, idx: int) -> str:
-        spec = self.spec
-        n_p, s = spec.n_primitives, spec.sides
-        if idx < n_p:
-            return f"cx[{idx}]"
-        if idx < 2 * n_p:
-            return f"cy[{idx - n_p}]"
-        if idx < 3 * n_p:
-            return f"theta[{idx - 2 * n_p}]"
-        if idx < n_p * (s + 3):
-            rest = idx - 3 * n_p
-            return f"d[{rest // s}][{rest % s}]"
-        rest = idx - n_p * (s + 3)
-        return f"b[{rest // 4}][{rest % 4}]"
+        """The full layout's entry idx by name, as cx[i], d[i][side] or b[node][op]."""
+        for name, entries, per_row in self._blocks:
+            if idx < entries:
+                return (f"{name}[{idx}]" if per_row == 1
+                        else f"{name}[{idx // per_row}][{idx % per_row}]")
+            idx -= entries
+        raise IndexError("index past the full layout")
 
     def _denormalize_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map z to (n_p, 3 + S) rows cx, cy, theta, d[0..S-1] and operator weights."""
@@ -154,17 +147,13 @@ class Model:
             raise ValueError(f"design vector has {z.size} entries, expected {self.n}")
         if not np.isfinite(z).all():
             raise ValueError("design vector has a NaN or infinite entry")
-        spec = self.spec
-        n_p, s = spec.n_primitives, spec.sides
-        rows = np.empty((n_p, 3 + s))
-        for col, name in enumerate(("cx", "cy", "theta")):
-            rows[:, col] = (self.bounds[name][0]
-                            + self.scales[name] * z[col * n_p:(col + 1) * n_p])
-        rows[:, 3:] = (self.bounds["d"][0]
-                       + self.scales["d"] * z[3 * n_p:n_p * (s + 3)].reshape(n_p, s))
+        spec, geo = self.spec, self._lo.size
+        n_p = spec.n_primitives
+        flat = self._lo + self._span * z[:geo]
+        rows = np.hstack([flat[:3 * n_p].reshape(3, n_p).T, flat[3 * n_p:].reshape(n_p, -1)])
 
         weights = np.empty((spec.n_operators, 4))
-        weights[self.free_nodes] = csg.softmax_encode(z[n_p * (s + 3):].reshape(-1, 4),
+        weights[self.free_nodes] = csg.softmax_encode(z[geo:].reshape(-1, 4),
                                                       spec.softmax_scale)
         for node, op in self.frozen.items():
             weights[node] = csg.one_hot(op)
@@ -202,8 +191,7 @@ class Model:
 
         Both field seeds are pulled back together as one (2, n_cells) stack:
         one tree walk and one pass through the projection tape.  Raises
-        ValueError when no forward has run, when the last one raised, or
-        when forward_gradients has since dropped the workspace.
+        ValueError when no forward has run or when the last one raised.
         """
         if self._last is None:
             raise ValueError("no completed forward pass on this Model to differentiate")
@@ -222,12 +210,11 @@ class Model:
                                                      seeds, scratch=work.tree)
         d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(work.tape, leaf_seeds,
                                                                scratch=work.chain)
-        s = self.scales
         b = weights[self.free_nodes]
         gb = weight_grads[:, self.free_nodes]
         d_b = self.spec.softmax_scale * b * (gb - np.vecdot(b, gb)[..., None])
-        out = np.hstack([d_cx * s["cx"], d_cy * s["cy"], d_th * s["theta"],
-                         (d_d * s["d"]).reshape(2, -1), d_b.reshape(2, -1)])
+        out = np.hstack([d_cx, d_cy, d_th, d_d.reshape(2, -1), d_b.reshape(2, -1)])
+        out[:, :self._lo.size] *= self._span
         return out[0], out[1]
 
     def _project(self, rows: np.ndarray) -> "_Workspace":
@@ -255,10 +242,6 @@ class Model:
             work.rows = rows
         return work
 
-    def _release(self) -> None:
-        """Drop the workspace and the pass it holds, for one-shot callers."""
-        self._work = self._last = None
-
     def _solve(self, node_values: np.ndarray) -> tuple:
         """Clipped root field, displacements, J and g_v of the tree's node values."""
         root = np.clip(node_values[0], 0.0, 1.0)
@@ -270,16 +253,13 @@ class Model:
         return self.forward(z)
 
     def forward_gradients(self, z: np.ndarray):
-        """(J, g_v, dJ/dz, dg_v/dz) in one pass; the workspace is dropped after."""
-        try:
-            return (*self.forward(z), *self.gradients())
-        finally:
-            self._release()
+        """(J, g_v, dJ/dz, dg_v/dz): forward(z), then gradients(); the pass stays."""
+        return (*self.forward(z), *self.gradients())
 
 
 @dataclass(eq=False)
 class _Workspace:
-    """The arrays one iteration fills, allocated once per Model.
+    """The arrays one iteration fills, allocated once per Model and kept for its life.
 
     Reusing them keeps each forward and gradients pass from taking fresh
     pages from the system, whose first touches cost milliseconds per step
@@ -414,10 +394,11 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
 def _finalize(model: Model, z: np.ndarray, history: RunHistory,
               reason: str) -> OptimizeResult:
     rows, weights = model._denormalize_rows(z)
-    # the last projection fills the loop's workspace, which the Model then
-    # drops: nothing of the size of the tape is allocated again
+    # the last projection refills the loop's workspace, so nothing of the
+    # size of the tape is allocated again; the tree evaluations below
+    # overwrite the node fields, so no pass is left to differentiate
     node_values = model._project(rows).node_values
-    model._release()
+    model._last = None
     leaf_values = node_values[model.spec.n_operators:]
 
     def solve_tree(w: np.ndarray):

@@ -101,7 +101,8 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
     report is sorted worst first.  model must offer evaluate(z) -> (J, g),
     which for a Model is forward(z); forward_gradients(z) -> (J, g, dJ, dg),
     which is forward(z) followed by gradients(); full_size, full_to_free
-    and label_for_index.
+    and label_for_index.  A Model keeps the workspace of each pass, so an
+    evaluate re-projects only the primitive its entry moves.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")

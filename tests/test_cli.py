@@ -148,9 +148,14 @@ def test_effective_config_round_trips(tmp_path):
     # finite bounds whose span overflows a float
     ({"theta_bounds": [-1e308, 1e308]}, [], "theta_bounds"),
     ({"cx_bounds": [-1e308, 1e308]}, [], "cx_bounds"),
+    # no step is longer than move_limit, so the first would end the run
+    # with convergence "step" however far the design is from a KKT point
+    ({"mma": {"move_limit": 1e-4}}, [], "mma: step_tol"),
+    ({"mma": {"move_limit": 0.01, "step_tol": 0.01}}, [], "mma: step_tol"),
 ])
 def test_run_rejects_mistyped_config_values(tmp_path, capsys, overrides, argv, field):
-    # a mistyped or non-finite value exits 1 with an error naming its field
+    # a mistyped or non-finite value, or one that breaks a rule across
+    # fields, exits 1 with an error naming its field
     cfg = write_config(tmp_path, {**QUICK, **overrides})
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 1
@@ -343,8 +348,9 @@ def test_run_zero_gradient_exits_2_with_history(tmp_path, capsys):
     assert (out / "history.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("overrides", [{"vf_star": 1e-300},
-                                       {"mma": {"move_limit": 1e-300}}])
+                                       {"mma": {"move_limit": 1e-300, "step_tol": 1e-301}}])
 def test_run_nan_design_update_exits_2_with_history(tmp_path, capsys, overrides):
     # the MMA update of either config returns NaN entries, which the next
     # forward pass would reject with a ValueError

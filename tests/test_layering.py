@@ -130,3 +130,21 @@ def test_a_name_defined_twice_is_flagged():
         "shown": ["a", "b"], "ConfigError": ["c", "d"]}
     assert repeated_names({"a": "__all__ = []\nlog = 1\n_cache = {}",
                            "b": "__all__ = []\nlog = 2\n_cache = {}"}) == {}
+
+
+LIBRARY_API = {"ProblemSpec", "MmaConfig", "ConfigError", "Model", "OptimizeResult",
+               "SolverAbort", "initialize", "optimize", "MmaState", "mma_update",
+               "kkt_residual", "fd_check"}
+
+
+def test_the_package_exports_the_library_api_alone():
+    # the kernels stay importable from their own modules
+    init = ast.parse(SOURCES["__init__"])
+    assert {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+            and node.module for alias in node.names} == LIBRARY_API
+    # what the tests and the benchmark take from the top level is in it
+    users = [*SRC.parents[1].glob("tests/*.py"), *SRC.parents[1].glob("bench/*.py")]
+    taken = {alias.name for path in users for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "csgtopo"
+             for alias in node.names}
+    assert taken - MODULES <= LIBRARY_API

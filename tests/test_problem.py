@@ -222,7 +222,25 @@ def test_normalize_round_trip():
               "d": z[3 * n_p:n_p * (s + 3)].reshape(n_p, s)}
     for name, (lo, hi) in spec.bounds().items():
         got = np.array([getattr(p, name) for p in params])
-        assert np.abs(got - (lo + (hi - lo) * blocks[name])).max() < 1e-12
+        assert np.array_equal(got, lo + (hi - lo) * blocks[name])
+
+
+def test_full_layout_labels_and_index_map():
+    # the layout entry by entry, with two frozen nodes and S past 10
+    spec = ProblemSpec(nx=8, ny=4, tree_depth=3, sides=11,
+                       frozen_operators={0: "union", 5: "difference"})
+    model = Model(spec)
+    n_p = spec.n_primitives
+    labels = [f"{name}[{i}]" for name in ("cx", "cy", "theta") for i in range(n_p)]
+    labels += [f"d[{i}][{j}]" for i in range(n_p) for j in range(spec.sides)]
+    labels += [f"b[{k}][{j}]" for k in range(spec.n_operators) for j in range(4)]
+    assert [model.label_for_index(i) for i in range(model.full_size)] == labels
+    free = [label for label in labels if not label.startswith(("b[0]", "b[5]"))]
+    assert len(free) == model.n
+    assert model.full_to_free.tolist() == [
+        free.index(label) if label in free else -1 for label in labels]
+    with pytest.raises(IndexError):
+        model.label_for_index(model.full_size)
 
 
 def test_denormalize_rejects_wrong_length():
@@ -459,13 +477,20 @@ def test_reused_workspace_equals_a_fresh_model(sides):
     # not; then an operator entry alone, which re-projects none
     walk.append(moved(moved(z0, 1, 0.05), 3 * spec.n_primitives + 6 * sides, 0.05))
     walk.append(moved(walk[-1], model.n - 1, 0.05))
-    for z in walk:
-        got_jg = model.forward(z)
-        got = model.gradients()
+    for step, z in enumerate(walk):
+        if step == 3:
+            # a one-shot pass keeps its pass, for gradients() to read again,
+            # and its workspace, for the next evaluate to refill
+            *got_jg, dj, dg = model.forward_gradients(z)
+            got = model.gradients()
+            assert np.array_equal(got[0], dj) and np.array_equal(got[1], dg)
+        else:
+            got_jg = model.evaluate(z) if step == 4 else model.forward(z)
+            got = model.gradients()
         fresh = Model(spec)
         want_jg = fresh.forward(z)
         want = fresh.gradients()
-        assert got_jg == want_jg
+        assert tuple(got_jg) == want_jg
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(model._work.node_values, fresh._work.node_values)
         for name in TAPE_FIELDS:
@@ -485,9 +510,6 @@ def test_gradients_need_a_completed_forward(small_spec, monkeypatch):
     no_pass()
     model.forward(z)
     model.gradients()
-    # a one-shot pass drops the workspace it ran in
-    model.forward_gradients(z)
-    no_pass()
 
     def fail(*args, **kwargs):
         raise fea.SingularSystemError("injected")
