@@ -49,6 +49,10 @@ SWEEP_PARAMS = ("vf_star", "tree_depth", "seed", "mesh")
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
+        # mkstemp makes the file 0600 and os.replace keeps that: use open()'s mode
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -157,6 +161,9 @@ def _make_dir(path: Path) -> None:
 def execute_run(spec: ProblemSpec, outdir: Path) -> dict:
     """Run one optimization and write every artifact; returns the summary."""
     _make_dir(outdir)
+    # a run that fails leaves no results of an earlier run beside its own
+    for name in ("summary.json", "design.csv", "design.pgm", "tree.json"):
+        (outdir / name).unlink(missing_ok=True)
     write_config(outdir / "config.json", spec)
     try:
         result = optimize(spec)

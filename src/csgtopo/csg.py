@@ -10,9 +10,9 @@ always the rx operand.
 
 The tree lives in heap-ordered arrays: an (n_internal, 4) weight array and
 an (n_leaves, n_cells) array of leaf fields, leaf i holding primitive i.
-evaluate_tree_values and tree_backward walk them a level at a time; prune
-lists the heap nodes of a snapped tree that are left once the empty ones
-are removed.
+evaluate_tree_values and tree_backward walk them a level at a time (the
+docstring of tree_backward states the partials of B); prune lists the heap
+nodes of a snapped tree that are left once the empty ones are removed.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "one_hot",
     "softmax_encode",
     "combine",
-    "combine_grad_operand",
-    "combine_grad_weights",
     "walk_scratch",
     "evaluate_tree_values",
     "tree_backward",
@@ -50,7 +48,7 @@ _SIMPLEX_TOL = 1e-12
 
 
 def one_hot(operator: int) -> np.ndarray:
-    if operator not in range(4):
+    if operator not in (INTERSECTION, UNION, DIFFERENCE, NEGATIVE_DIFFERENCE):
         raise ValueError(f"operator index must be 0..3, got {operator}")
     b = np.zeros(4)
     b[operator] = 1.0
@@ -79,23 +77,6 @@ def combine(rx, ry, b):
     ry = np.asarray(ry, dtype=float)
     return (b[1] + b[2]) * rx + (b[1] + b[3]) * ry \
         + (b[0] - b[1] - b[2] - b[3]) * rx * ry
-
-
-def combine_grad_operand(rx, ry, b):
-    """Partial derivatives of combine with respect to rx and ry."""
-    b = np.asarray(b, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    ry = np.asarray(ry, dtype=float)
-    cross = b[0] - b[1] - b[2] - b[3]
-    return (b[1] + b[2]) + cross * ry, (b[1] + b[3]) + cross * rx
-
-
-def combine_grad_weights(rx, ry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Partials of combine with respect to b0, b1, b2 and b3, in that order."""
-    rx = np.asarray(rx, dtype=float)
-    ry = np.asarray(ry, dtype=float)
-    prod = rx * ry
-    return prod, rx + ry - prod, rx - prod, ry - prod
 
 
 def snap(weights) -> np.ndarray:
@@ -216,13 +197,18 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray, seed: np.ndarray
     even rows of 2*first+1..4*first+2.  Every child has exactly one parent,
     so only the current level's seeds g are kept: the children's seeds are
     written once, as g * d_rx and g * d_ry, into an (m, n_level, 2,
-    n_cells) block whose rows are the next level in heap order.  Each seed
-    is one product and each weight gradient one dot of g with a partial of
-    combine_grad_weights, and the operand partials are those of
-    combine_grad_operand, each computed term by term into scratch (that
-    of walk_scratch, allocated when omitted).  So the results are bit for
-    bit those of a walk that sums into a zeroed array of all nodes.  The
-    leaf seeds returned are a view of scratch.
+    n_cells) block whose rows are the next level in heap order.
+
+    The partials of B(rx, ry; b) are, with c = b0 - b1 - b2 - b3,
+
+        dB/drx = (b1 + b2) + c ry        dB/dry = (b1 + b3) + c rx
+        dB/db  = (rx ry, rx + ry - rx ry, rx - rx ry, ry - rx ry)
+
+    Each seed is one product of g with an operand partial and each weight
+    gradient one dot of g with a weight partial, each partial computed term
+    by term into scratch (that of walk_scratch, allocated when omitted).
+    So the results are bit for bit those of a walk that sums into a zeroed
+    array of all nodes.  The leaf seeds returned are a view of scratch.
     """
     seed = np.asarray(seed, dtype=float)
     seeds = np.atleast_2d(seed)
@@ -248,8 +234,8 @@ def tree_backward(weights: np.ndarray, node_values: np.ndarray, seed: np.ndarray
         right = slice(2 * first + 2, 4 * first + 3, 2)
         rx, ry = node_values[left], node_values[right]
         prod, partial = (_rows(row, n_level, n_cells) for row in level_rows)
-        # the four partials of combine_grad_weights, one dot per
-        # (objective, node, weight): the same sum as a 1-D g @ partial
+        # the four weight partials, one dot per (objective, node, weight):
+        # the same sum as a 1-D g @ partial
         np.multiply(rx, ry, out=prod)
         weight_grads[:, level, 0] = np.vecdot(g, prod)
         np.add(rx, ry, out=partial)

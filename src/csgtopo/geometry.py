@@ -1,8 +1,10 @@
 """Convex-polygon primitives and their projection onto mesh density fields.
 
 A primitive is the intersection of S >= 3 half-spaces arranged around a
-reference point.  Mapping a primitive to a density field runs the smooth
-chain
+reference point, given as one parameter row cx, cy, theta, d[0..S-1]:
+half-space j has the normal angle theta + 2 pi j / S and lies at offset
+d[j] from (cx, cy) along it.  Mapping primitives to density fields runs
+the smooth chain
 
     half-space signed distances -> LogSumExp max -> sigmoid -> threshold
 
@@ -10,25 +12,22 @@ so the resulting field is differentiable in every polygon parameter.
 Signed distances are negative inside a shape.  A field holds one value per
 element of an fea.Mesh, sampled at its centre, in the order fea states.
 
-rasterize_with_tape runs the chain for all n_p primitives in one call on a
-sides-first (n_p, S, n_cells) array and keeps one batched ProjectionTape;
-projection_param_grad pulls per-cell sensitivities of every primitive (and
-of several objectives stacked on leading axes) back through that tape.  The
-input is one parameter row cx, cy, theta, d[0..S-1] per primitive, an
-(n_p, 3 + S) array; PolygonParams.row is that row of one polygon.
-Sides-first, every step runs along contiguous rows of n_cells values rather
-than reducing a short trailing axis per cell, and the sides are summed left
-to right, as numpy sums a trailing axis of up to 7 entries, so the fields
-equal those of a cells-first layout.
+rasterize_with_tape runs the chain for all n_p primitives, an (n_p, 3 + S)
+array of rows, in one call on a sides-first (n_p, S, n_cells) array and
+keeps one batched ProjectionTape; projection_param_grad pulls per-cell
+sensitivities of every primitive (and of several objectives stacked on
+leading axes) back through that tape.  rasterize_primitive is the same
+call on one row.  Sides-first, every step runs along contiguous rows of
+n_cells values rather than reducing a short trailing axis per cell, and
+the sides are summed left to right, as numpy sums a trailing axis of up to
+7 entries, so the fields equal those of a cells-first layout.
 
 Both functions walk the primitives in blocks of about _BLOCK_DOUBLES values
 of the (n_p, S, n_cells) stack, so a block's intermediates stay in cache
 between the steps of the chain instead of each step streaming the whole
 stack through memory.  No step mixes primitives: every value gets the same
 operations in the same order as in a one-primitive call, so the results do
-not depend on where the block edges fall.  polygon_sdf, project_density,
-threshold and threshold_derivative are the single-stage forms of the same
-formulas.
+not depend on where the block edges fall.
 """
 
 from __future__ import annotations
@@ -44,17 +43,11 @@ if TYPE_CHECKING:
     from .fea import Mesh
 
 __all__ = [
-    "PolygonParams",
     "ProjectionConfig",
     "DensityField",
     "ProjectionTape",
     "base_angles",
-    "halfspace_sdf",
-    "halfspace_sdfs",
-    "polygon_sdf",
     "project_density",
-    "threshold",
-    "threshold_derivative",
     "rasterize_primitive",
     "rasterize_with_tape",
     "projection_param_grad",
@@ -72,41 +65,6 @@ def base_angles(sides: int) -> np.ndarray:
     if sides < 3:
         raise ValueError(f"a polygon needs at least 3 half-spaces, got {sides}")
     return (2.0 * math.pi / sides) * np.arange(sides, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class PolygonParams:
-    """One polygon: reference point (cx, cy), rotation theta, offsets d.
-
-    The polygon is the set where all S half-space signed distances are
-    negative; offset d[j] is the distance from the reference point to
-    half-space j along its (rotated) normal.
-    """
-
-    cx: float
-    cy: float
-    theta: float
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float).ravel()
-        if d.size < 3:
-            raise ValueError(f"a polygon needs at least 3 offsets, got {d.size}")
-        object.__setattr__(self, "d", d)
-
-    @property
-    def sides(self) -> int:
-        return self.d.size
-
-    @property
-    def angles(self) -> np.ndarray:
-        """Final half-space normal angles theta + 2*pi*j/S."""
-        return self.theta + base_angles(self.sides)
-
-    @property
-    def row(self) -> np.ndarray:
-        """Parameter row cx, cy, theta, d[0..S-1], as rasterize_with_tape reads it."""
-        return np.concatenate([(self.cx, self.cy, self.theta), self.d])
 
 
 @dataclass(frozen=True)
@@ -152,22 +110,6 @@ class DensityField:
         self.values = np.clip(values, 0.0, 1.0)
 
 
-def halfspace_sdf(p: PolygonParams, j: int, x, y):
-    """Signed distance to half-space j (0-based) of polygon p; negative inside."""
-    a = p.theta + 2.0 * math.pi * j / p.sides
-    return (np.asarray(x, float) - p.cx) * math.cos(a) \
-        + (np.asarray(y, float) - p.cy) * math.sin(a) - p.d[j]
-
-
-def halfspace_sdfs(p: PolygonParams, x, y) -> np.ndarray:
-    """All S half-space signed distances, stacked on a trailing axis."""
-    ang = p.angles
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    return ((x - p.cx)[..., None] * np.cos(ang)
-            + (y - p.cy)[..., None] * np.sin(ang) - p.d)
-
-
 def _smooth_max(phi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(1/s)-scaled LogSumExp over axis -2 (the sides) and its softmax weights.
 
@@ -187,36 +129,15 @@ def _smooth_max(phi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _threshold_chain(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold filter value and derivative at r, sharing one tanh."""
+    """Threshold filter value and derivative at r, sharing one tanh; it fixes 0, 1/2, 1."""
     th = math.tanh(0.5 * beta)
     u = np.tanh(beta * (r - 0.5))
     return (th + u) / (2.0 * th), beta * (1.0 - u * u) / (2.0 * th)
 
 
-def polygon_sdf(p: PolygonParams, x, y, cfg: ProjectionConfig):
-    """Smooth polygon signed distance: (l0/t)-scaled LogSumExp of the half-spaces."""
-    # a unit trailing axis puts the sides on axis -2, where _smooth_max reduces
-    return _smooth_max(halfspace_sdfs(p, x, y)[..., None], cfg.t / cfg.l0)[0][..., 0]
-
-
 def project_density(phi, cfg: ProjectionConfig):
     """Sigmoid projection of a signed distance: interior (phi < 0) maps near 1."""
     return expit(-(cfg.gamma / cfg.l0) * np.asarray(phi, float))
-
-
-def threshold(rho_tilde, cfg: ProjectionConfig):
-    """Threshold filter pushing intermediate densities toward 0/1.
-
-    Preserves the endpoints and the midpoint exactly; input must lie in [0, 1].
-    """
-    r = np.asarray(rho_tilde, dtype=float)
-    if (r < -_RANGE_TOL).any() or (r > 1.0 + _RANGE_TOL).any():
-        raise ValueError("threshold input must lie in [0, 1]")
-    return _threshold_chain(np.clip(r, 0.0, 1.0), cfg.beta)[0]
-
-
-def threshold_derivative(rho_tilde, cfg: ProjectionConfig):
-    return _threshold_chain(np.asarray(rho_tilde, dtype=float), cfg.beta)[1]
 
 
 @dataclass(eq=False)
@@ -309,10 +230,12 @@ def rasterize_with_tape(rows: np.ndarray, mesh: Mesh, cfg: ProjectionConfig,
     return rho, tape
 
 
-def rasterize_primitive(p: PolygonParams, mesh: Mesh,
+def rasterize_primitive(row: np.ndarray, mesh: Mesh,
                         cfg: ProjectionConfig) -> DensityField:
-    """Project one polygon onto the mesh: threshold(sigmoid(polygon_sdf))."""
-    return DensityField(rasterize_with_tape(p.row[None], mesh, cfg)[0][0], mesh)
+    """Project the polygon of one parameter row cx, cy, theta, d[0..S-1]
+    onto the mesh."""
+    return DensityField(rasterize_with_tape(np.asarray(row, float)[None], mesh, cfg)[0][0],
+                        mesh)
 
 
 def projection_param_grad(tape: ProjectionTape, seed: np.ndarray,

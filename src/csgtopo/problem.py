@@ -79,6 +79,7 @@ def builtin_problem(name: str, nx: int, ny: int) -> fea.BoundaryConditions:
 
 def initialize(spec: ProblemSpec) -> np.ndarray:
     """Seeded uniform [0, 1) design vector (PCG64 via numpy default_rng)."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
     return rng.random(spec.design_size)
 
@@ -140,8 +141,9 @@ class Model:
             idx -= entries
         raise IndexError("index past the full layout")
 
-    def _denormalize_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map z to (n_p, 3 + S) rows cx, cy, theta, d[0..S-1] and operator weights."""
+    def denormalize(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map z to (n_p, 3 + S) rows cx, cy, theta, d[0..S-1] and operator
+        weights, frozen nodes' one-hot rows included."""
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ValueError(f"design vector has {z.size} entries, expected {self.n}")
@@ -159,11 +161,6 @@ class Model:
             weights[node] = csg.one_hot(op)
         return rows, weights
 
-    def denormalize(self, z: np.ndarray) -> tuple[list[geometry.PolygonParams], np.ndarray]:
-        """Map z to polygon parameters and operator weights (frozen injected)."""
-        rows, weights = self._denormalize_rows(z)
-        return [geometry.PolygonParams(*row[:3], row[3:]) for row in rows], weights
-
     # -- forward evaluation --------------------------------------------------
 
     def forward(self, z: np.ndarray) -> tuple[float, float]:
@@ -174,7 +171,7 @@ class Model:
         """
         self._last = None
         t0 = time.perf_counter()
-        rows, weights = self._denormalize_rows(z)
+        rows, weights = self.denormalize(z)
         work = self._project(rows)
         t1 = time.perf_counter()
         csg.evaluate_tree_values(weights, work.node_values[self.spec.n_operators:],
@@ -393,7 +390,7 @@ def optimize(spec: ProblemSpec, callback=None) -> OptimizeResult:
 
 def _finalize(model: Model, z: np.ndarray, history: RunHistory,
               reason: str) -> OptimizeResult:
-    rows, weights = model._denormalize_rows(z)
+    rows, weights = model.denormalize(z)
     # the last projection refills the loop's workspace, so nothing of the
     # size of the tape is allocated again; the tree evaluations below
     # overwrite the node fields, so no pass is left to differentiate

@@ -1,3 +1,4 @@
+import math
 import os
 
 # one BLAS thread, as bench/run.py sets: on a small host the default thread
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from csgtopo import ProblemSpec
-from csgtopo.csg import combine, one_hot
+from csgtopo.csg import combine, one_hot, tree_backward
 from csgtopo.fea import Mesh
-from csgtopo.geometry import ProjectionConfig
+from csgtopo.geometry import ProjectionConfig, base_angles
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
@@ -33,6 +34,37 @@ def cell_centers(mesh: Mesh) -> np.ndarray:
     ((i+0.5)*ax, (j+0.5)*ay): the points the projection samples."""
     xx, yy = np.meshgrid(mesh.xs, mesh.ys)
     return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def polygon(cx, cy, theta, d) -> np.ndarray:
+    """The parameter row cx, cy, theta, d[0..S-1] of one polygon."""
+    return np.concatenate([(cx, cy, theta), d])
+
+
+def halfspace_sdf(row, j: int, x, y):
+    """Signed distance to half-space j (0-based) of the polygon of parameter
+    row cx, cy, theta, d[0..S-1]; negative inside."""
+    a = row[2] + 2.0 * math.pi * j / (len(row) - 3)
+    return (np.asarray(x, float) - row[0]) * math.cos(a) \
+        + (np.asarray(y, float) - row[1]) * math.sin(a) - row[3 + j]
+
+
+def halfspace_sdfs(row, x, y) -> np.ndarray:
+    """All S half-space signed distances of row, stacked on a trailing axis."""
+    ang = row[2] + base_angles(len(row) - 3)
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    return ((x - row[0])[..., None] * np.cos(ang)
+            + (y - row[1])[..., None] * np.sin(ang) - row[3:])
+
+
+def node_partials(rx: float, ry: float, b) -> tuple[float, float, np.ndarray]:
+    """dB/drx, dB/dry and the four dB/db of one operator node at operands
+    rx, ry: the partials tree_backward pulls a unit seed through on a
+    depth-1 tree of one cell."""
+    (d_rx, d_ry), d_b = tree_backward(np.asarray(b, float)[None],
+                                      np.array([[0.0], [rx], [ry]]), np.ones(1))
+    return float(d_rx[0]), float(d_ry[0]), d_b[0]
 
 
 @pytest.fixture

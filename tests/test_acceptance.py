@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from csgtopo import csg, fea
-from csgtopo.csg import (combine, combine_grad_operand, combine_grad_weights,
-                         evaluate_tree_values, one_hot, prune)
+from csgtopo.csg import combine, evaluate_tree_values, one_hot, prune
 from csgtopo.geometry import rasterize_primitive
 from csgtopo.config import MmaConfig, ProblemSpec
 from csgtopo.mma import MmaState, mma_update
 from csgtopo.problem import Model, builtin_problem, optimize
 from csgtopo.sensitivity import fd_check
-from conftest import connected_design, pruned_values
+from conftest import connected_design, node_partials, pruned_values
 
 EPS_EMPTY = 0.01
 
@@ -41,8 +40,8 @@ def mbb_default():
 def mbb_leaf_values(mbb_default):
     result, _ = mbb_default
     model = Model(ProblemSpec())
-    return np.vstack([rasterize_primitive(p, model.grid, model.cfg).values
-                      for p in model.denormalize(result.z)[0]])
+    return np.vstack([rasterize_primitive(row, model.grid, model.cfg).values
+                      for row in model.denormalize(result.z)[0]])
 
 
 def test_criterion_1_boolean_table_exactness():
@@ -84,11 +83,10 @@ def test_criterion_2_operator_interpolation():
     for _ in range(200):
         rx, ry = rng.random(2)
         b = rng.dirichlet(np.ones(4))
-        dx, dy = combine_grad_operand(rx, ry, b)
+        dx, dy, grads = node_partials(rx, ry, b)
         fd_x = (combine(rx + h, ry, b) - combine(rx - h, ry, b)) / (2 * h)
         fd_y = (combine(rx, ry + h, b) - combine(rx, ry - h, b)) / (2 * h)
         pairs = [(dx, fd_x), (dy, fd_y)]
-        grads = combine_grad_weights(rx, ry)
         for i in range(4):
             bp, bm = b.copy(), b.copy()
             bp[i] += h

@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
+import stat
 from pathlib import Path
 
 import hypothesis
@@ -322,6 +324,34 @@ def test_run_solver_failure_exit_code(tmp_path, capsys):
     doc = {**QUICK, "benchmark": None, "fixed_dofs": [0], "loads": [[13, -1.0]]}
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_a_failed_run_leaves_no_results_of_an_earlier_run(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    doc = {**QUICK, "benchmark": None, "fixed_dofs": [0], "loads": [[13, -1.0]]}
+    assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert sorted(path.name for path in out.iterdir()) == [
+        "config.json", "history.csv", "timings.csv"]
+    assert json.loads((out / "config.json").read_text())["fixed_dofs"] == [0]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifacts_get_the_mode_the_umask_gives(tmp_path, capsys, umask, mode):
+    cfg = write_config(tmp_path, {**QUICK, "mma": {"max_iter": 2}})
+    previous = os.umask(umask)
+    try:
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert main(["sweep", "--config", str(cfg), "--param", "vf_star",
+                     "--values", "0.4", "--out", str(tmp_path / "s")]) == 0
+    finally:
+        os.umask(previous)
+    written = [*(tmp_path / "o").iterdir(), tmp_path / "s" / "pareto.csv"]
+    assert len(written) == 8
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == {
+        path.name: mode for path in written}
 
 
 def test_run_underflowing_compliance_exits_2_with_history(tmp_path, capsys):

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csgtopo.csg import (CsgTree, DIFFERENCE, INTERSECTION, NEGATIVE_DIFFERENCE,
-                         OPERATOR_NAMES, UNION, combine, combine_grad_operand,
-                         combine_grad_weights, evaluate_tree_values, one_hot, prune, snap,
-                         softmax_encode, tree_backward)
-from conftest import cell_centers, pruned_values
+                         OPERATOR_NAMES, UNION, combine, evaluate_tree_values, one_hot,
+                         prune, snap, softmax_encode, tree_backward)
+from conftest import cell_centers, halfspace_sdfs, node_partials, polygon, pruned_values
 from csgtopo.fea import Mesh
-from csgtopo.geometry import (PolygonParams, ProjectionConfig, halfspace_sdfs,
-                              rasterize_primitive)
+from csgtopo.geometry import ProjectionConfig, rasterize_primitive
 
 TABLE = {
     INTERSECTION: lambda x, y: x * y,
@@ -103,9 +101,9 @@ def test_combine_idempotent_solids(seed):
 # -- derivatives ------------------------------------------------------------------
 
 def test_grad_operand_examples():
-    dx, _ = combine_grad_operand(0.3, 1.0, one_hot(UNION))
+    dx, _, _ = node_partials(0.3, 1.0, one_hot(UNION))
     assert dx == pytest.approx(0.0, abs=1e-15)
-    dx, _ = combine_grad_operand(0.3, 0.7, one_hot(INTERSECTION))
+    dx, _, _ = node_partials(0.3, 0.7, one_hot(INTERSECTION))
     assert dx == pytest.approx(0.7, abs=1e-15)
 
 
@@ -115,7 +113,7 @@ def test_grad_operand_matches_fd():
     for _ in range(50):
         rx, ry = rng.random(2)
         b = simplex(rng)
-        dx, dy = combine_grad_operand(rx, ry, b)
+        dx, dy, _ = node_partials(rx, ry, b)
         fd_x = (combine(rx + h, ry, b) - combine(rx - h, ry, b)) / (2 * h)
         fd_y = (combine(rx, ry + h, b) - combine(rx, ry - h, b)) / (2 * h)
         assert dx == pytest.approx(fd_x, abs=1e-9)
@@ -123,8 +121,9 @@ def test_grad_operand_matches_fd():
 
 
 def test_grad_weights_examples():
-    assert np.allclose(combine_grad_weights(1.0, 1.0), [1, 1, 0, 0], atol=1e-15)
-    assert np.allclose(combine_grad_weights(0.0, 0.0), [0, 0, 0, 0], atol=1e-15)
+    b = one_hot(UNION)  # the weight partials do not depend on b
+    assert np.allclose(node_partials(1.0, 1.0, b)[2], [1, 1, 0, 0], atol=1e-15)
+    assert np.allclose(node_partials(0.0, 0.0, b)[2], [0, 0, 0, 0], atol=1e-15)
 
 
 def test_grad_weights_matches_fd():
@@ -134,7 +133,7 @@ def test_grad_weights_matches_fd():
     for _ in range(50):
         rx, ry = rng.random(2)
         b = simplex(rng)
-        grads = combine_grad_weights(rx, ry)
+        grads = node_partials(rx, ry, b)[2]
         for i in range(4):
             bp, bm = b.copy(), b.copy()
             bp[i] += h
@@ -219,9 +218,10 @@ def reference_tree_backward(weights, node_values, seed):
         right = slice(2 * first + 2, 4 * first + 3, 2)
         rx, ry = node_values[left], node_values[right]
         g = grads[:, level]
-        d_rx, d_ry = combine_grad_operand(rx, ry, weights[level].T[..., None])
-        grads[:, left] += g * d_rx
-        grads[:, right] += g * d_ry
+        b = weights[level].T[..., None]
+        cross = b[0] - b[1] - b[2] - b[3]
+        grads[:, left] += g * ((b[1] + b[2]) + cross * ry)
+        grads[:, right] += g * ((b[1] + b[3]) + cross * rx)
         prod = rx * ry
         partials = np.stack([prod, rx + ry - prod, rx - prod, ry - prod], axis=1)
         weight_grads[:, level] = np.vecdot(g[:, :, None, :], partials)
@@ -451,8 +451,8 @@ def test_tree_matches_exact_boolean_oracle():
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     rng = np.random.default_rng(12)
     ops = [UNION, DIFFERENCE, UNION]
-    polys = [PolygonParams(rng.uniform(10, 50), rng.uniform(5, 25),
-                           rng.uniform(0, 2 * math.pi), rng.uniform(6, 15, size=6))
+    polys = [polygon(rng.uniform(10, 50), rng.uniform(5, 25),
+                     rng.uniform(0, 2 * math.pi), rng.uniform(6, 15, size=6))
              for _ in range(4)]
     weights = np.vstack([one_hot(op) for op in ops])
     leaves = np.vstack([rasterize_primitive(p, grid, cfg).values for p in polys])

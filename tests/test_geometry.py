@@ -5,19 +5,32 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cell_centers
+from conftest import cell_centers, halfspace_sdf, halfspace_sdfs, polygon
 from csgtopo import geometry
 from csgtopo.fea import Mesh
-from csgtopo.geometry import (DensityField, PolygonParams, ProjectionConfig,
-                              base_angles, halfspace_sdf,
-                              halfspace_sdfs, polygon_sdf, project_density,
-                              projection_param_grad, rasterize_primitive,
-                              rasterize_with_tape, threshold,
-                              threshold_derivative)
+from csgtopo.geometry import (DensityField, ProjectionConfig, base_angles,
+                              project_density, projection_param_grad,
+                              rasterize_primitive, rasterize_with_tape)
 
 
 def hexagon(cx=30.0, cy=15.0, theta=0.0, d=10.0):
-    return PolygonParams(cx, cy, theta, np.full(6, d))
+    return polygon(cx, cy, theta, np.full(6, d))
+
+
+# the projection's own kernels: the smooth max of the half-spaces at points
+# x, y, and the threshold filter and its derivative
+def polygon_sdf(row, x, y, cfg: ProjectionConfig):
+    # a unit trailing axis puts the sides on axis -2, where _smooth_max reduces
+    return geometry._smooth_max(halfspace_sdfs(row, x, y)[..., None],
+                                cfg.t / cfg.l0)[0][..., 0]
+
+
+def threshold(rho_tilde, cfg: ProjectionConfig):
+    return geometry._threshold_chain(rho_tilde, cfg.beta)[0]
+
+
+def threshold_derivative(rho_tilde, cfg: ProjectionConfig):
+    return geometry._threshold_chain(rho_tilde, cfg.beta)[1]
 
 
 # -- base angles ---------------------------------------------------------------
@@ -39,8 +52,11 @@ def test_base_angles_uniform(sides, expected):
 def test_base_angles_rejects_degenerate():
     with pytest.raises(ValueError):
         base_angles(2)
-    with pytest.raises(ValueError):
-        PolygonParams(0, 0, 0, [1.0, 2.0])
+
+
+def test_rasterize_primitive_rejects_two_offsets(default_grid, default_cfg):
+    with pytest.raises(ValueError, match="at least 3 half-spaces"):
+        rasterize_primitive(polygon(30.0, 15.0, 0.0, [1.0, 2.0]), default_grid, default_cfg)
 
 
 # -- half-space SDF ------------------------------------------------------------
@@ -48,26 +64,26 @@ def test_base_angles_rejects_degenerate():
 def test_halfspace_at_reference_point():
     p = hexagon(d=4.0)
     for j in range(6):
-        assert halfspace_sdf(p, j, p.cx, p.cy) == pytest.approx(-4.0, abs=1e-14)
+        assert halfspace_sdf(p, j, p[0], p[1]) == pytest.approx(-4.0, abs=1e-14)
 
 
 def test_halfspace_boundary_point():
-    p = PolygonParams(2.0, 5.0, 0.3, np.array([1.5, 2.5, 3.5]))
+    p = polygon(2.0, 5.0, 0.3, np.array([1.5, 2.5, 3.5]))
     for j in range(3):
-        a = p.angles[j]
-        x = p.cx + p.d[j] * math.cos(a)
-        y = p.cy + p.d[j] * math.sin(a)
+        a = p[2] + base_angles(3)[j]
+        x = p[0] + p[3 + j] * math.cos(a)
+        y = p[1] + p[3 + j] * math.sin(a)
         assert halfspace_sdf(p, j, x, y) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_halfspace_direct_evaluation():
     # (x-cx) cos a + (y-cy) sin a - d at a = 0 reduces to x - d
-    p = PolygonParams(0.0, 0.0, 0.0, np.array([2.0, 2.0, 2.0]))
+    p = polygon(0.0, 0.0, 0.0, np.array([2.0, 2.0, 2.0]))
     assert halfspace_sdf(p, 0, 5.0, 7.0) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_halfspace_sdfs_matches_scalar():
-    p = PolygonParams(3.0, 4.0, 0.7, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    p = polygon(3.0, 4.0, 0.7, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     pts_x = np.array([0.0, 10.0, -3.0])
     pts_y = np.array([1.0, -2.0, 8.0])
     stacked = halfspace_sdfs(p, pts_x, pts_y)
@@ -83,13 +99,13 @@ def test_polygon_sdf_equal_halfspaces(default_cfg):
     # all half-space values equal v at the reference point: LSE = v + (l0/t) ln S
     p = hexagon(d=5.0)
     expected = -5.0 + (default_cfg.l0 / default_cfg.t) * math.log(6)
-    assert polygon_sdf(p, p.cx, p.cy, default_cfg) == pytest.approx(expected, rel=1e-12)
+    assert polygon_sdf(p, p[0], p[1], default_cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_polygon_sdf_single_dominant(default_cfg):
     # one half-space at zero, the rest far below: result in [0, (l0/t) ln S]
     l0 = default_cfg.l0
-    p = PolygonParams(0.0, 0.0, 0.0, np.array([0.0, 2 * l0, 2 * l0, 2 * l0]))
+    p = polygon(0.0, 0.0, 0.0, np.array([0.0, 2 * l0, 2 * l0, 2 * l0]))
     val = polygon_sdf(p, 0.0, 0.0, default_cfg)
     assert 0.0 <= val <= (l0 / default_cfg.t) * math.log(4)
 
@@ -98,8 +114,8 @@ def test_polygon_sdf_tracks_max_at_large_scale():
     cfg = ProjectionConfig.for_domain(60, 30, t=1e4)
     rng = np.random.default_rng(11)
     for _ in range(30):
-        p = PolygonParams(rng.uniform(0, 60), rng.uniform(0, 30),
-                          rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 15, size=6))
+        p = polygon(rng.uniform(0, 60), rng.uniform(0, 30),
+                    rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 15, size=6))
         x, y = rng.uniform(-10, 70), rng.uniform(-10, 40)
         exact = halfspace_sdfs(p, x, y).max()
         assert abs(polygon_sdf(p, x, y, cfg) - exact) < 1e-3 * cfg.l0
@@ -112,7 +128,7 @@ def test_polygon_sdf_tracks_max_at_large_scale():
 def test_polygon_sdf_dominates_max(cx, cy, theta, seed, x, y):
     cfg = ProjectionConfig.for_domain(60, 30)
     d = np.random.default_rng(seed).uniform(0.1, 15.0, size=6)
-    p = PolygonParams(cx, cy, theta, d)
+    p = polygon(cx, cy, theta, d)
     exact = halfspace_sdfs(p, x, y).max()
     val = float(polygon_sdf(p, x, y, cfg))
     assert val >= exact
@@ -168,13 +184,6 @@ def test_threshold_quarter_point_high_precision(default_cfg):
     assert expected == pytest.approx(0.0176627, rel=1e-5)
 
 
-def test_threshold_rejects_out_of_range(default_cfg):
-    with pytest.raises(ValueError):
-        threshold(-0.2, default_cfg)
-    with pytest.raises(ValueError):
-        threshold(1.2, default_cfg)
-
-
 @given(a=st.floats(0, 1), b=st.floats(0, 1))
 def test_threshold_strictly_increasing(a, b):
     cfg = ProjectionConfig.for_domain(60, 30)
@@ -200,7 +209,7 @@ def test_rasterize_covering_polygon(default_grid, default_cfg):
 
 
 def test_rasterize_far_outside(default_grid, default_cfg):
-    p = PolygonParams(30.0 + 2.5 * default_cfg.l0, 15.0, 0.0, np.full(6, 10.0))
+    p = polygon(30.0 + 2.5 * default_cfg.l0, 15.0, 0.0, np.full(6, 10.0))
     field = rasterize_primitive(p, default_grid, default_cfg)
     assert np.abs(field.values).max() < 1e-6
 
@@ -220,16 +229,16 @@ def test_rasterize_hexagon_cell_count(default_grid, default_cfg):
 
 
 def test_rasterize_rotation_equivariance(default_grid, default_cfg):
-    p0 = PolygonParams(30.0, 15.0, 0.0, np.array([4, 9, 6, 11, 8, 5], dtype=float))
+    p0 = polygon(30.0, 15.0, 0.0, np.array([4, 9, 6, 11, 8, 5], dtype=float))
     theta = 0.7
-    p_rot = PolygonParams(30.0, 15.0, theta, p0.d)
+    p_rot = polygon(30.0, 15.0, theta, p0[3:])
     pts = cell_centers(default_grid)
     # rotate sample points by -theta about the center and evaluate the
     # unrotated polygon there
-    rel = pts - [p0.cx, p0.cy]
+    rel = pts - p0[:2]
     c, s = math.cos(-theta), math.sin(-theta)
     back = np.column_stack([c * rel[:, 0] - s * rel[:, 1],
-                            s * rel[:, 0] + c * rel[:, 1]]) + [p0.cx, p0.cy]
+                            s * rel[:, 0] + c * rel[:, 1]]) + p0[:2]
     rotated = rasterize_primitive(p_rot, default_grid, default_cfg).values
     phi0 = polygon_sdf(p0, back[:, 0], back[:, 1], default_cfg)
     reference = threshold(project_density(phi0, default_cfg), default_cfg)
@@ -240,7 +249,7 @@ def test_rasterize_nonempty_interior(default_cfg, default_grid):
     # with d >= 2 (l0/t) ln S the reference point stays strictly inside
     d_min = 2.0 * (default_cfg.l0 / default_cfg.t) * math.log(6)
     p = hexagon(d=d_min)
-    val = polygon_sdf(p, p.cx, p.cy, default_cfg)
+    val = polygon_sdf(p, p[0], p[1], default_cfg)
     assert val < 0
 
 
@@ -256,30 +265,22 @@ def test_density_field_validation(default_grid):
 def test_projection_param_grad_matches_fd():
     grid = Mesh(12, 6, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
-    p = PolygonParams(25.0, 14.0, 0.35, np.array([9.0, 7.0, 10.0, 8.0]))
+    p = polygon(25.0, 14.0, 0.35, np.array([9.0, 7.0, 10.0, 8.0]))
     rng = np.random.default_rng(5)
     seed = rng.standard_normal(grid.n_elements)
 
-    _, tape = rasterize_with_tape(p.row[None], grid, cfg)
+    _, tape = rasterize_with_tape(p[None], grid, cfg)
     d_cx, d_cy, d_th, d_d = projection_param_grad(tape, seed[None])
     analytic = np.concatenate([d_cx, d_cy, d_th, d_d[0]])
 
-    def objective(cx, cy, th, d):
-        q = PolygonParams(cx, cy, th, d)
-        return float(seed @ rasterize_primitive(q, grid, cfg).values)
+    def objective(row):
+        return float(seed @ rasterize_primitive(row, grid, cfg).values)
 
     h = 1e-6
     fd = []
-    for k in range(3 + p.sides):
-        args_p = [p.cx, p.cy, p.theta, p.d.copy()]
-        args_m = [p.cx, p.cy, p.theta, p.d.copy()]
-        if k < 3:
-            args_p[k] += h
-            args_m[k] -= h
-        else:
-            args_p[3][k - 3] += h
-            args_m[3][k - 3] -= h
-        fd.append((objective(*args_p) - objective(*args_m)) / (2 * h))
+    for k in range(len(p)):
+        step = h * np.eye(len(p))[k]
+        fd.append((objective(p + step) - objective(p - step)) / (2 * h))
     fd = np.array(fd)
     mask = np.abs(fd) > 1e-8
     assert mask.any()
@@ -290,14 +291,10 @@ def test_projection_param_grad_matches_fd():
 # -- batched chain -------------------------------------------------------------------
 
 def random_polygons(rng, n, sides, lx, ly):
-    return [PolygonParams(rng.uniform(0, lx), rng.uniform(0, ly),
-                          rng.uniform(0, 2 * math.pi / sides),
-                          rng.uniform(0.0, 0.25 * lx, sides)) for _ in range(n)]
-
-
-def rows_of(params):
-    """The (n_p, 3 + S) parameter rows rasterize_with_tape reads."""
-    return np.array([p.row for p in params])
+    """The (n, 3 + S) parameter rows of n random polygons."""
+    return np.array([polygon(rng.uniform(0, lx), rng.uniform(0, ly),
+                             rng.uniform(0, 2 * math.pi / sides),
+                             rng.uniform(0.0, 0.25 * lx, sides)) for _ in range(n)])
 
 
 @pytest.mark.parametrize("sides", [3, 6])
@@ -305,7 +302,7 @@ def test_batched_rasterize_equals_per_primitive(sides):
     grid = Mesh(20, 10, 60.0, 30.0)
     cfg = ProjectionConfig.for_domain(60.0, 30.0)
     params = random_polygons(np.random.default_rng(7), 9, sides, 60.0, 30.0)
-    batched, _ = rasterize_with_tape(rows_of(params), grid, cfg)
+    batched, _ = rasterize_with_tape(params, grid, cfg)
     stacked = np.vstack([rasterize_primitive(p, grid, cfg).values for p in params])
     assert np.array_equal(batched, stacked)
 
@@ -319,7 +316,7 @@ def test_sides_first_tape_matches_cells_first_reference(sides, grid):
     # the chain as it ran on an (n_cells, S) stack, summing the trailing axis
     cfg = ProjectionConfig.for_domain(grid.lx, grid.ly)
     params = random_polygons(np.random.default_rng(13), 7, sides, grid.lx, grid.ly)
-    rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
+    rho, tape = rasterize_with_tape(params, grid, cfg)
     assert tape.lse_weights.shape == (7, sides, grid.n_elements)
     s = cfg.t / cfg.l0
     for i, p in enumerate(params):
@@ -343,10 +340,10 @@ def test_batched_pullback_rows_are_independent():
     rng = np.random.default_rng(11)
     params = random_polygons(rng, 5, 4, 60.0, 30.0)
     seeds = rng.standard_normal((2, len(params), grid.n_elements))
-    _, tape = rasterize_with_tape(rows_of(params), grid, cfg)
+    _, tape = rasterize_with_tape(params, grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):
-        _, single = rasterize_with_tape(p.row[None], grid, cfg)
+        _, single = rasterize_with_tape(p[None], grid, cfg)
         for r in range(2):
             one = projection_param_grad(single, seeds[r, i][None])
             for got, want in zip(batched, one):
@@ -365,10 +362,10 @@ def test_blocked_chain_equals_one_primitive_calls(sides):
     rng = np.random.default_rng(17)
     params = random_polygons(rng, n_p, sides, 60.0, 30.0)
     seeds = rng.standard_normal((2, n_p, grid.n_elements))
-    rho, tape = rasterize_with_tape(rows_of(params), grid, cfg)
+    rho, tape = rasterize_with_tape(params, grid, cfg)
     batched = projection_param_grad(tape, seeds)
     for i, p in enumerate(params):
-        rho_i, tape_i = rasterize_with_tape(p.row[None], grid, cfg)
+        rho_i, tape_i = rasterize_with_tape(p[None], grid, cfg)
         assert np.array_equal(rho[i], rho_i[0])
         for name in ("cos_a", "sin_a", "rel_x", "rel_y", "lse_weights",
                      "d_sigmoid", "d_threshold"):

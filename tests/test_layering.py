@@ -1,8 +1,11 @@
-"""The package's import layers, and one home for each public name, read from
-the source with ast: config sits on csg alone, the numerical kernels import
-nothing of the package, and only cli reaches the command line."""
+"""The package's import layers, one home and a reader for each public name,
+read from the source with ast: config sits on csg alone, the numerical
+kernels import nothing of the package, only cli reaches the command line,
+and every name an __all__ lists is read by the package, bench/ or a hook."""
 
 import ast
+import fnmatch
+import re
 from pathlib import Path
 
 import pytest
@@ -148,3 +151,71 @@ def test_the_package_exports_the_library_api_alone():
              if isinstance(node, ast.ImportFrom) and node.module == "csgtopo"
              for alias in node.names}
     assert taken - MODULES <= LIBRARY_API
+
+
+BENCH_SOURCES = [path.read_text() for path in sorted(SRC.parents[1].glob("bench/*.py"))]
+
+
+def read_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names tree reads as a variable or an attribute, outside subtree skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def hook_targets(sources: list[str]) -> set[tuple[str, str]]:
+    """(module, name) of each 'module:name' target a string in sources
+    spells; a name may end in *, and a method target names its class."""
+    return {match.groups() for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (match := re.fullmatch(r"[\w.]*\b(\w+):(\w[\w*]*)[\w.]*", node.value))}
+
+
+def unread_names(sources: dict[str, str], others: list[str]) -> list[str]:
+    """module.name for each name of a module's __all__ that nothing reads:
+    not another module of sources, nor its own module outside the statement
+    that defines it, nor a file of others, nor a hook target they spell."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    outside = set().union(*(read_names(ast.parse(source)) for source in others))
+    hooks = hook_targets(others)
+    unread = []
+    for module, tree in trees.items():
+        exported = next((ast.literal_eval(node.value) for node in tree.body
+                         if isinstance(node, ast.Assign)
+                         and [ast.unparse(t) for t in node.targets] == ["__all__"]), [])
+        read_elsewhere = outside.union(*(read_names(other) for name, other in trees.items()
+                                         if name != module))
+        for name in exported:
+            definition = next((node for node in tree.body if name in public_definitions(
+                ast.unparse(node))), None)
+            if (name in read_elsewhere or name in read_names(tree, skip=definition)
+                    or any(m == module and fnmatch.fnmatchcase(name, pattern)
+                           for m, pattern in hooks)):
+                continue
+            unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_names(SOURCES, BENCH_SOURCES) == []
+
+
+def test_a_public_name_without_a_reader_is_flagged():
+    sources = {"a": "__all__ = ['f', 'g', 'h', 'K']\n"
+                    "def f(n):\n    return f(n - 1)\n"
+                    "def g():\n    pass\n"
+                    "def h():\n    pass\n"
+                    "K = 1\nprint(K)",
+               "b": "from .a import g\ng()"}
+    others = ["HOOK = f'{PKG}.a:h'"]
+    # f is read only inside its own definition
+    assert unread_names(sources, others) == ["a.f"]
+    assert unread_names(sources, []) == ["a.f", "a.h"]

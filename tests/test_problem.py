@@ -162,6 +162,13 @@ def test_design_vector_sizes():
     assert frozen.design_size == 204 - 4
 
 
+@pytest.mark.parametrize("overrides,field", [({"sides": 2}, "sides"), ({"nx": 0}, "nx"),
+                                             ({"tree_depth": 200}, "tree_depth")])
+def test_initialize_rejects_an_invalid_spec(overrides, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        initialize(ProblemSpec(**overrides))
+
+
 # -- denormalization --------------------------------------------------------------
 
 def test_denormalize_center_bounds():
@@ -169,21 +176,22 @@ def test_denormalize_center_bounds():
     model = Model(spec)
     z = initialize(spec)
     z[: spec.n_primitives] = 0.0
-    params, _ = model.denormalize(z)
-    assert all(p.cx == pytest.approx(3.0, abs=1e-12) for p in params)
+    rows, _ = model.denormalize(z)
+    assert rows[:, 0] == pytest.approx(3.0, abs=1e-12)
     z[: spec.n_primitives] = 1.0
-    params, _ = model.denormalize(z)
-    assert all(p.cx == pytest.approx(57.0, abs=1e-12) for p in params)
+    rows, _ = model.denormalize(z)
+    assert rows[:, 0] == pytest.approx(57.0, abs=1e-12)
 
 
 def test_denormalize_midpoint():
     spec = ProblemSpec()
     model = Model(spec)
     z = np.full(spec.design_size, 0.5)
-    params, weights = model.denormalize(z)
-    for p in params:
-        assert (p.cx, p.cy) == (pytest.approx(30.0), pytest.approx(15.0))
-        assert np.allclose(p.d, 7.5, atol=1e-12)
+    rows, weights = model.denormalize(z)
+    assert rows.shape == (spec.n_primitives, 3 + spec.sides)
+    for row in rows:
+        assert (row[0], row[1]) == (pytest.approx(30.0), pytest.approx(15.0))
+        assert np.allclose(row[3:], 7.5, atol=1e-12)
     assert np.allclose(weights, 0.25, atol=1e-12)
 
 
@@ -216,13 +224,13 @@ def test_normalize_round_trip():
     spec = ProblemSpec()
     model = Model(spec)
     z = initialize(spec)
-    params, _ = model.denormalize(z)
+    rows, _ = model.denormalize(z)
     n_p, s = spec.n_primitives, spec.sides
     blocks = {"cx": z[:n_p], "cy": z[n_p:2 * n_p], "theta": z[2 * n_p:3 * n_p],
               "d": z[3 * n_p:n_p * (s + 3)].reshape(n_p, s)}
+    columns = {"cx": rows[:, 0], "cy": rows[:, 1], "theta": rows[:, 2], "d": rows[:, 3:]}
     for name, (lo, hi) in spec.bounds().items():
-        got = np.array([getattr(p, name) for p in params])
-        assert np.array_equal(got, lo + (hi - lo) * blocks[name])
+        assert np.array_equal(columns[name], lo + (hi - lo) * blocks[name])
 
 
 def test_full_layout_labels_and_index_map():
@@ -366,10 +374,7 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
     z_d = moved(z, 3 * n_p + i * s + j)
     model.evaluate(z_d)
     assert len(projected) == 1 and len(projected[0]) == 1
-    want = model.denormalize(z_d)[0][i]
-    got = projected[0][0]
-    assert tuple(got[:3]) == (want.cx, want.cy, want.theta)
-    assert np.array_equal(got[3:], want.d)
+    assert np.array_equal(projected[0][0], model.denormalize(z_d)[0][i])
     projected.clear()
     model.evaluate(moved(z_d, model.n - 1))  # an operator entry
     assert projected == []
@@ -377,8 +382,8 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
 
 @pytest.mark.parametrize("sides", range(3, 9))
 def test_forward_leaf_fields_equal_one_polygon_projections(sides):
-    # forward projects the parameter rows; the PolygonParams list of
-    # denormalize is what the snapped benchmark compliance reads.
+    # forward projects the rows in blocks; the snapped benchmark compliance
+    # projects each row of denormalize on its own.
     # 8 primitives in blocks of 7: the last block is ragged
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides)
     model = Model(spec)
@@ -387,10 +392,10 @@ def test_forward_leaf_fields_equal_one_polygon_projections(sides):
     z = initialize(spec)
     model.forward(z)
     leaves = model._work.node_values[spec.n_operators:]
-    params = model.denormalize(z)[0]
-    assert len(leaves) == len(params) == spec.n_primitives
-    for leaf, p in zip(leaves, params):
-        assert np.array_equal(leaf, geometry.rasterize_primitive(p, model.mesh,
+    rows = model.denormalize(z)[0]
+    assert len(leaves) == len(rows) == spec.n_primitives
+    for leaf, row in zip(leaves, rows):
+        assert np.array_equal(leaf, geometry.rasterize_primitive(row, model.mesh,
                                                                  model.cfg).values)
 
 
@@ -567,8 +572,8 @@ def test_optimize_snapped_reporting_is_consistent(quick_result):
     import csgtopo.csg as csg
     import csgtopo.geometry as geometry
     leaf_values = np.vstack([
-        geometry.rasterize_primitive(p, model.mesh, model.cfg).values
-        for p in model.denormalize(res.z)[0]])
+        geometry.rasterize_primitive(row, model.mesh, model.cfg).values
+        for row in model.denormalize(res.z)[0]])
     root = csg.evaluate_tree_values(np.eye(4)[res.ops], leaf_values)[0]
     _, j_again = fea.analyze(np.clip(root, 0, 1), model.mesh, model.material,
                              model.bcs, model.k0)
