@@ -96,7 +96,14 @@ class Model:
         self.cfg = geometry.ProjectionConfig.for_domain(
             lx, ly, gamma=spec.gamma, beta=spec.beta, t=spec.lse_scale)
         self.material = fea.Material(spec.e0, spec.resolved_emin, spec.penalty, spec.nu)
-        self.k0 = fea.element_stiffness_template(spec.nu, self.mesh.ax, self.mesh.ay)
+        ax, ay = self.mesh.ax, self.mesh.ay
+        try:
+            self.k0 = fea.element_stiffness_template(spec.nu, ax, ay)
+        except (ValueError, FloatingPointError) as exc:
+            # the side whose scale is further from 1 overflows, or underflows to 0
+            scale = [abs(math.log(a)) if a > 0 else math.inf for a in (ax, ay)]
+            raise ConfigError(f"{'lx' if scale[0] >= scale[1] else 'ly'}: a {ax:.3g} by "
+                              f"{ay:.3g} element has no stiffness in floats ({exc})") from None
         if spec.benchmark is not None:
             self.bcs = builtin_problem(spec.benchmark, spec.nx, spec.ny)
         else:
@@ -127,6 +134,9 @@ class Model:
         # the last forward that completed, None when there is none
         self._work: _Workspace | None = None
         self._last: tuple[np.ndarray, np.ndarray] | None = None
+        # the solve and root field a reusing forward keeps for later ones to
+        # solve against; None when there is none, () when reuse has ended
+        self._kept: tuple | None = None
         # seconds the last forward spent in projection, tree and solve
         self.timings: dict[str, float] = {}
 
@@ -163,13 +173,21 @@ class Model:
 
     # -- forward evaluation --------------------------------------------------
 
-    def forward(self, z: np.ndarray) -> tuple[float, float]:
+    def forward(self, z: np.ndarray, *, reuse: bool = False) -> tuple[float, float]:
         """(J, g_v) of z, keeping the intermediates gradients() needs.
 
         The tape and node fields are written into the Model's workspace,
         and the operator weights and displacements are kept on the Model.
+        A plain forward factors its stiffness and drops any kept solve.
+        With reuse, the first forward since then keeps its solve, and each
+        later one solves only for its change against that solve's factor
+        (fea.solve's near).  One that has to factor after all ends the
+        reuse until the next plain forward, and one that raises drops the
+        kept solve.
         """
         self._last = None
+        kept = self._kept if reuse else None
+        self._kept = None       # kept again only by a reusing pass that completes
         t0 = time.perf_counter()
         rows, weights = self.denormalize(z)
         work = self._project(rows)
@@ -177,11 +195,23 @@ class Model:
         csg.evaluate_tree_values(weights, work.node_values[self.spec.n_operators:],
                                  out=work.node_values, scratch=work.tree)
         t2 = time.perf_counter()
-        _, u, j_val, g_v = self._solve(work.node_values)
+        root, u, result, g_v = self._solve(work.node_values, kept or None)
         t3 = time.perf_counter()
+        if reuse:
+            if kept is None:
+                # its residual is summed now, while no second stiffness is
+                # alive beside the factor, so that it adds nothing to the peak
+                result.exact_residual
+                self._kept = result, root
+            elif result.factor is None:
+                self._kept = kept
+            else:
+                # the kept solve is too far from these designs, or too badly
+                # conditioned, for its factor to serve them
+                self._kept = ()
         self._last = weights, u
         self.timings = {"projection": t1 - t0, "tree": t2 - t1, "fea_sens": t3 - t2}
-        return j_val, g_v
+        return result.J, g_v
 
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """(dJ/dz, dg_v/dz) of the last forward that completed on this Model.
@@ -239,15 +269,34 @@ class Model:
             work.rows = rows
         return work
 
-    def _solve(self, node_values: np.ndarray) -> tuple:
-        """Clipped root field, displacements, J and g_v of the tree's node values."""
+    def _solve(self, node_values: np.ndarray, kept: tuple | None = None) -> tuple:
+        """Clipped root field, full-length displacements, fea.SolveResult and
+        g_v of the tree's node values.  kept is a (SolveResult, root) to
+        solve against, with the stiffness change summed element by element
+        from the change of root."""
         root = np.clip(node_values[0], 0.0, 1.0)
-        u, j_val = fea.analyze(root, self.mesh, self.material, self.bcs, self.k0)
-        return root, u, j_val, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
+        fixed = self.bcs.fixed_dofs
+        pattern = self.mesh.free_pattern(fixed)
+        K = fea.assemble(root, self.mesh, self.material, self.k0, fixed)
+        near = None
+        if kept is not None:
+            base, base_root = kept
+            near = base, fea.stiffness_change_product(root, base_root, base.u, self.mesh,
+                                                      self.material, self.k0, fixed)
+        result = fea.solve(K, fea.load_vector(self.bcs, self.mesh.ndof)[pattern.free],
+                           pattern.band, near)
+        u = np.zeros(self.mesh.ndof)
+        u[pattern.free] = result.u
+        return root, u, result, fea.volume_constraint(root, self.spec.vf_star, self.mesh)
 
     def evaluate(self, z: np.ndarray) -> tuple[float, float]:
-        """(J, g_v) of z: forward, under the name finite differencing uses."""
-        return self.forward(z)
+        """(J, g_v) of z by forward(z, reuse=True), for finite differencing.
+
+        After the first evaluate since the last plain forward, each one
+        solves only for its change against that evaluate's factor, so the
+        solve's error is common to both sides of a central difference.
+        """
+        return self.forward(z, reuse=True)
 
     def forward_gradients(self, z: np.ndarray):
         """(J, g_v, dJ/dz, dg_v/dz): forward(z), then gradients(); the pass stays."""
@@ -400,11 +449,11 @@ def _finalize(model: Model, z: np.ndarray, history: RunHistory,
 
     def solve_tree(w: np.ndarray):
         try:
-            root, _, j_val, g_v = model._solve(
+            root, _, result, g_v = model._solve(
                 csg.evaluate_tree_values(w, leaf_values, out=node_values))
         except fea.SingularSystemError as exc:
             raise SolverAbort(str(exc), history, z, len(history)) from exc
-        return root, j_val, g_v
+        return root, result.J, g_v
 
     rho, j_relaxed, g_relaxed = solve_tree(weights)
     snapped = csg.snap(weights)

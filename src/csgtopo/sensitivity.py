@@ -98,11 +98,15 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
 
     indices address the full design layout including frozen operator slots,
     each in [0, full_size); frozen entries come back marked skipped.  The
-    report is sorted worst first.  model must offer evaluate(z) -> (J, g),
-    which for a Model is forward(z); forward_gradients(z) -> (J, g, dJ, dg),
-    which is forward(z) followed by gradients(); full_size, full_to_free
-    and label_for_index.  A Model keeps the workspace of each pass, so an
-    evaluate re-projects only the primitive its entry moves.
+    report is sorted worst first.  model must offer evaluate(z) -> (J, g);
+    forward_gradients(z) -> (J, g, dJ, dg), which is forward(z) followed by
+    gradients(); full_size, full_to_free and label_for_index.  A Model
+    keeps the workspace of each pass, so an evaluate re-projects only the
+    primitive its entry moves, and its evaluate is forward(z, reuse=True):
+    one check factors twice, in forward_gradients and in the first
+    evaluate, and every later evaluate solves for its change against that
+    evaluate's factor.  Both sides of each difference then share the
+    rounding of that one solve, which cancels.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")

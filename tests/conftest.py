@@ -10,7 +10,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from csgtopo import ProblemSpec
+from csgtopo import ProblemSpec, fea
 from csgtopo.csg import combine, one_hot, tree_backward
 from csgtopo.fea import Mesh
 from csgtopo.geometry import ProjectionConfig, base_angles
@@ -112,3 +112,16 @@ def pruned_values(pruned: list, ops, leaf_values: np.ndarray,
         return combine(value(left), value(right), one_hot(int(ops[node])))
 
     return value(pruned[0][0] if k is None else k)
+
+
+def counting_splu(monkeypatch) -> list:
+    """Patch fea.splu to record each factorization; returns the record."""
+    calls = []
+    original = fea.splu
+
+    def counted(K, layout=None):
+        calls.append(K.shape)
+        return original(K, layout)
+
+    monkeypatch.setattr(fea, "splu", counted)
+    return calls

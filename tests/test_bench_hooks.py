@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,47 @@ def test_layer_spans_are_per_call_not_per_block(tracing, tmp_path):
     assert calls["geometry:rasterize_with_tape"] == iterations + 1
     assert calls["geometry:projection_param_grad"] == iterations
     assert calls["csg:tree_backward"] == iterations
+
+
+def test_fd_check_solves_every_evaluate_inside_the_hooked_layers(tracing):
+    # the finite-difference evaluates after the first solve against a kept
+    # factor; those solves must stay inside fea.solve, under a forward, for
+    # the benchmark's fea.trisolve and problem.forward to time them
+    from conftest import connected_design
+    from csgtopo import sensitivity
+    from csgtopo.config import ProblemSpec
+    from csgtopo.problem import Model
+
+    spec = ProblemSpec(nx=12, ny=6, tree_depth=2, sides=4)
+    model = Model(spec)
+    tracer = tracing.Tracer("test")
+
+    class Clock:
+        """The model, with each evaluate in a span of its own."""
+
+        def __getattr__(self, name):
+            return getattr(model, name)
+
+        def evaluate(self, z):
+            tracer.open("fd.evaluate")
+            try:
+                return model.evaluate(z)
+            finally:
+                tracer.close()
+
+    with tracer.installed(tracing.LAYER_HOOKS) as missing:
+        sensitivity.fd_check(Clock(), connected_design(spec))
+    assert missing == []
+    names = [span[0] for span in tracer.spans]
+    owner = tracer.enclosing("fd.evaluate")
+    evaluates = [i for i, name in enumerate(names) if name == "fd.evaluate"]
+    assert len(evaluates) == 2 * model.full_size
+    for layer in ("problem.forward", "fea.solve"):
+        inside = Counter(owner[i] for i, name in enumerate(names) if name == layer)
+        assert [inside[i] for i in evaluates] == [1] * len(evaluates), layer
+    assert names.count("fea.factorize") <= 2
+    # every evaluate's triangular solves went through a hooked factor
+    assert tracer.counts["fea.trisolves"] >= 2 * len(evaluates)
 
 
 def test_run_works_with_forward_wrapped_as_strict_self_z(tmp_path, monkeypatch):

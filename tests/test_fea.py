@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded
 
+from csgtopo import fea
 from csgtopo.fea import (BandLayout, BoundaryConditions, Material, Mesh,
                          SingularSystemError, analyze, assemble, element_energies,
                          element_stiffness_template, load_vector, reduce_system,
-                         simp_modulus, solve, splu, volume_constraint)
+                         simp_modulus, solve, splu, stiffness_change_product,
+                         volume_constraint)
 from csgtopo.problem import builtin_problem
+from conftest import counting_splu
 
 
 def closed_form_unit_square_k0(nu: float) -> np.ndarray:
@@ -356,6 +359,93 @@ def test_banded_factor_size_and_bandwidth():
     assert factor.nnz == (2 * 31 + 3 + 1) * K.shape[0]
     b = np.arange(K.shape[0], dtype=float)
     assert np.abs(K @ factor.solve(b) - b).max() < 1e-8 * np.abs(b).max()
+
+
+# -- solves against a kept factor ---------------------------------------------------
+
+# the default mesh and a tall one, whose band is wide for its dof count
+NEAR_CASES = {"mbb_60x30": ("mbb", 60, 30), "cantilever_10x40": ("mid_cantilever", 10, 40)}
+
+
+def near_system(case: str, seed: int = 4):
+    """(mesh, bcs, rho, f, band, base): a random SIMP field's fresh solve."""
+    name, nx, ny = NEAR_CASES[case]
+    mesh, bcs = Mesh(nx, ny, float(nx), float(ny)), builtin_problem(name, nx, ny)
+    pattern = mesh.free_pattern(bcs.fixed_dofs)
+    rho = np.random.default_rng(seed).random(mesh.n_elements)
+    f = load_vector(bcs, mesh.ndof)[pattern.free]
+    base = solve(assemble(rho, mesh, Material(), fixed_dofs=bcs.fixed_dofs), f, pattern.band)
+    return mesh, bcs, rho, f, pattern.band, base
+
+
+def near_solve(field, rho, base, mesh, bcs, f, band):
+    """field's solve against base, the solve of rho, with its stiffness."""
+    m = Material()
+    k0 = element_stiffness_template(m.nu)
+    K = assemble(field, mesh, m, k0, bcs.fixed_dofs)
+    delta = stiffness_change_product(field, rho, base.u, mesh, m, k0, bcs.fixed_dofs)
+    return solve(K, f, band, (base, delta)), K
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_CASES))
+def test_near_solve_matches_the_fresh_solve(case, monkeypatch):
+    mesh, bcs, rho, f, band, base = near_system(case)
+    moved = np.array(rho)
+    moved[np.random.default_rng(1).choice(mesh.n_elements, 6, replace=False)] += 1e-6
+    calls = counting_splu(monkeypatch)
+    near, K = near_solve(moved, rho, base, mesh, bcs, f, band)
+    assert calls == [] and near.factor is None
+    fresh = solve(K, f, band)
+    assert abs(near.J - fresh.J) <= 1e-12 * fresh.J
+    assert near.residual < 1e-10
+
+
+def test_stiffness_change_product_equals_the_assembled_difference():
+    # (K - K_b) u on the free dofs, from two fields two elements apart
+    mesh, bcs, rho, *_ = near_system("mbb_60x30")
+    moved = np.array(rho)
+    moved[[7, 800]] = [0.5, 1.0]
+    m = Material()
+    k0 = element_stiffness_template(m.nu)
+    u = np.random.default_rng(2).standard_normal(mesh.free_pattern(bcs.fixed_dofs).free.size)
+    got = stiffness_change_product(moved, rho, u, mesh, m, k0, bcs.fixed_dofs)
+    K, K_b = (assemble(r, mesh, m, k0, bcs.fixed_dofs) for r in (moved, rho))
+    want = (K - K_b) @ u
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # only the dofs of the changed elements move
+    touched = np.isin(mesh.free_pattern(bcs.fixed_dofs).free, mesh.element_dofs[[7, 800]])
+    assert not got[~touched].any() and got[touched].any()
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_CASES))
+def test_far_field_falls_back_to_a_fresh_factor(case, monkeypatch):
+    mesh, bcs, rho, f, band, base = near_system(case)
+    other = np.random.default_rng(9).random(mesh.n_elements)
+    calls = counting_splu(monkeypatch)
+    near, K = near_solve(other, rho, base, mesh, bcs, f, band)
+    assert len(calls) == 1 and near.factor is not None
+    fresh = solve(K, f, band)
+    assert near.J == fresh.J and np.array_equal(near.u, fresh.u)
+
+
+def test_near_solve_fails_as_the_fresh_solve_does(monkeypatch):
+    mesh, bcs, rho, f, band, base = near_system("mbb_60x30")
+    bad = np.array(rho)
+    bad[40] = np.nan
+    with pytest.raises(SingularSystemError):
+        solve(assemble(bad, mesh, Material(), fixed_dofs=bcs.fixed_dofs), f, band)
+    with pytest.raises(SingularSystemError):
+        near_solve(bad, rho, base, mesh, bcs, f, band)
+    # a converged near solve still meets the residual abort
+    moved = np.array(rho)
+    moved[40] += 1e-6
+    monkeypatch.setattr(fea, "_RESIDUAL_ABORT", 0.0)
+    with pytest.raises(SingularSystemError, match="solve residual"):
+        solve(assemble(moved, mesh, Material(), fixed_dofs=bcs.fixed_dofs), f, band)
+    calls = counting_splu(monkeypatch)
+    with pytest.raises(SingularSystemError, match="solve residual"):
+        near_solve(moved, rho, base, mesh, bcs, f, band)
+    assert calls == []
 
 
 # -- compliance properties ----------------------------------------------------------

@@ -10,6 +10,7 @@ from csgtopo.csg import UNION, one_hot, softmax_encode
 from csgtopo.config import (MAX_TAPE_DOUBLES, ConfigError, MmaConfig, ProblemSpec,
                             config_from_dict)
 from csgtopo.problem import Model, SolverAbort, builtin_problem, initialize, optimize
+from conftest import connected_design, counting_splu
 
 
 def quick_spec(**overrides):
@@ -152,6 +153,15 @@ def test_custom_bcs_validation_names_field(field, overrides):
     spec = ProblemSpec(nx=12, ny=6, benchmark=None, **{**MBB_12X6, **overrides})
     with pytest.raises(ConfigError, match=f"^{field}: "):
         Model(spec)
+
+
+@pytest.mark.parametrize("field,value", [("lx", 1e-300), ("ly", 1e-300), ("ly", 5e-324)])
+def test_an_element_stiffness_past_the_float_range_names_its_side(field, value):
+    # 1e-300 over 8 or 4 elements overflows the strain-displacement products
+    # of the element template, and 5e-324 / 4 is an element side of 0; a
+    # RuntimeWarning would be an error here
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        Model(ProblemSpec(nx=8, ny=4, tree_depth=1, **{field: value}))
 
 
 def test_design_vector_sizes():
@@ -429,7 +439,7 @@ def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
             target = {"projection": (geometry, "rasterize_with_tape", fail),
                       "projection_after_write": (geometry, "rasterize_with_tape",
                                                  fail_after_write),
-                      "solve": (fea, "analyze", fail)}[failure]
+                      "solve": (fea, "solve", fail)}[failure]
             with monkeypatch.context() as patch:
                 patch.setattr(*target)
                 with pytest.raises(fea.SingularSystemError):
@@ -438,6 +448,33 @@ def test_evaluate_after_a_failed_call_equals_forward(monkeypatch, failure):
             want = Model(model.spec).forward(z)
             assert model.evaluate(z) == want
             assert model.forward(z) == want
+
+
+def test_evaluate_factors_only_until_it_keeps_a_solve(small_spec, monkeypatch):
+    # factorizations per call: a forward and the first evaluate after it
+    # factor, later evaluates solve against that evaluate's factor; one
+    # that has to factor after all ends the reuse until the next forward,
+    # and one that raises drops the kept solve
+    model = Model(small_spec)
+    z0 = connected_design(small_spec)
+    z1 = moved(z0, 3 * model.spec.n_primitives + 5)
+    far = np.random.default_rng(4).random(model.n)
+    calls = counting_splu(monkeypatch)
+
+    def factorizations(call, z):
+        calls.clear()
+        j_val, _ = call(z)
+        fresh = Model(model.spec).forward(z)[0]
+        assert abs(j_val - fresh) <= 1e-12 * fresh
+        return len(calls) - 1
+
+    walk = [(model.forward, z0, 1), (model.evaluate, z1, 1), (model.evaluate, z0, 0),
+            (model.evaluate, far, 1), (model.evaluate, z1, 1), (model.forward, z0, 1),
+            (model.evaluate, z1, 1), (model.evaluate, z0, 0)]
+    assert [factorizations(call, z) for call, z, _ in walk] == [n for *_, n in walk]
+    with pytest.raises(ValueError):
+        model.evaluate(z1[:-1])
+    assert [factorizations(model.evaluate, z) for z in (z0, z1)] == [1, 0]
 
 
 # -- the forward and gradient workspace ----------------------------------------------
@@ -525,7 +562,7 @@ def test_gradients_need_a_completed_forward(small_spec, monkeypatch):
     with pytest.raises(ValueError, match="design vector"):
         model.forward(z1[:-1])
     no_pass()
-    for target in ((geometry, "rasterize_with_tape"), (fea, "analyze")):
+    for target in ((geometry, "rasterize_with_tape"), (fea, "solve")):
         model.forward(z)
         with monkeypatch.context() as patch:
             patch.setattr(*target, fail)

@@ -7,7 +7,7 @@ from csgtopo import fea
 from csgtopo.config import ProblemSpec
 from csgtopo.problem import Model, initialize
 from csgtopo.sensitivity import FdEntry, central_difference, fd_check, grad_volume
-from conftest import connected_design
+from conftest import connected_design, counting_splu
 
 
 def gate(entries, tol=1e-4, floor=1e-7):
@@ -245,3 +245,14 @@ def test_non_finite_fd_entry_never_passes(name, bad):
            / max(abs(values[f"fd_{k}"]), 1e-300) for k in "jg"}
     entry = FdEntry(index=0, label="cx[0]", **values, **rel)
     assert entry.max_rel_err == np.inf
+
+
+def test_fd_check_factors_at_most_twice(small_spec, monkeypatch):
+    # once in the analytic forward_gradients and once in the first
+    # evaluate; every later evaluate solves against that factor
+    model = Model(small_spec)
+    calls = counting_splu(monkeypatch)
+    entries = fd_check(model, connected_design(small_spec))
+    assert len(entries) == model.full_size
+    assert len(calls) == 2
+    assert gate(entries) < 1e-4
