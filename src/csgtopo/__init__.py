@@ -4,9 +4,6 @@ plane-stress FEA with SIMP, analytic sensitivities, and an MMA driver.
 
 The kernels are importable from their own modules."""
 
-# geometry before fea: loading scipy.special ahead of scipy.sparse and
-# scipy.linalg measured about 20 ms faster for a fresh `import csgtopo`
-from . import geometry
 from .config import ConfigError, MmaConfig, ProblemSpec
 from .mma import MmaState, kkt_residual, mma_update
 from .problem import Model, OptimizeResult, SolverAbort, initialize, optimize

@@ -20,6 +20,9 @@ BENCHMARKS = ("mbb", "mid_cantilever")
 
 # memory budget of the projection tape, in doubles (2^26 doubles = 512 MiB)
 MAX_TAPE_DOUBLES = 2 ** 26
+# largest x for which a smooth-max term of exp(-x) stays a normal float
+# (they end near x = 708); see the projection's rule in ProblemSpec.validate
+_MAX_LSE_SPAN = 700.0
 
 
 class ConfigError(ValueError):
@@ -207,12 +210,15 @@ class ProblemSpec:
                     and is_finite_real(load[1])):
                 fail("loads", f"{shown(load)} is not an integer dof and a finite value")
         # checked before anything is allocated or converted to float, and the
-        # depth before 2^depth is formed: the projection tape is the largest
-        # array of a run, 2^depth * sides * nx * ny doubles
+        # depth before 2^depth is formed: the projection tape holds, per
+        # primitive, three fields of nx * ny doubles, the two factor tables
+        # of sides * (nx + ny), the coordinates and the angles' cos and sin
         if (self.tree_depth > MAX_TAPE_DOUBLES.bit_length()
-                or self.n_primitives * self.sides * self.nx * self.ny > MAX_TAPE_DOUBLES):
+                or self.n_primitives * (3 * self.nx * self.ny + (self.sides + 1)
+                                        * (self.nx + self.ny) + 2 * self.sides)
+                > MAX_TAPE_DOUBLES):
             fail("tree_depth", f"the projection tape of 2^{shown(self.tree_depth)} "
-                 f"primitives x {shown(self.sides)} sides x "
+                 f"primitives of {shown(self.sides)} sides on "
                  f"{shown(self.nx)}x{shown(self.ny)} cells is over the budget of "
                  f"{MAX_TAPE_DOUBLES} doubles (512 MiB); lower tree_depth, sides, nx or ny")
         # the solve's banded factor, 2 (ny + 1) + 4 doubles for each of the
@@ -231,6 +237,18 @@ class ProblemSpec:
             if not math.isfinite(hi - lo):
                 fail(f"{name}_bounds", "the span from lower to upper bound overflows "
                      f"a float, got {shown(lo)} and {shown(hi)}")
+        # the projection's factored smooth max keeps each cell's largest term
+        # above exp(-2 s |x - cx|), s = lse_scale / l0, over the element
+        # centres x in [0, lx] and the centres cx the bounds allow
+        lx, ly = self.domain_lx, self.domain_ly
+        lo, hi = self.bounds()["cx"]
+        reach = max(abs(lo), abs(hi), abs(lx - lo), abs(lx - hi))
+        span = 2.0 * self.lse_scale / math.hypot(lx, ly) * reach
+        if not span <= _MAX_LSE_SPAN:
+            fail("lse_scale", f"{shown(self.lse_scale)} lets a term of the smooth max "
+                 f"fall to exp(-{span:.4g}) at centres in cx_bounds {shown([lo, hi])}, "
+                 f"below the float range past exp(-{_MAX_LSE_SPAN:g}); lower lse_scale "
+                 "or narrow cx_bounds")
         for node, op in self.frozen_operators.items():
             if not (is_int(node) and 0 <= node < self.n_operators):
                 fail("frozen_operators", f"node {shown(node)} is not an integer in "

@@ -227,6 +227,8 @@ class SolveResult:
     K and f are the system solved; factor is K's Cholesky factor when the
     solve made one, None when it was solved against a base's factor or f
     is zero.  A result with a factor can serve as a later solve's base.
+    J_change is f.v, v = u - u_b, when the solve was made against a base:
+    J - J_b without the rounding of either J.
     """
 
     u: np.ndarray
@@ -235,6 +237,7 @@ class SolveResult:
     K: sp.csc_matrix | None = None
     f: np.ndarray | None = None
     factor: BandedCholesky | None = None
+    J_change: float | None = None
 
     @cached_property
     def exact_residual(self) -> np.ndarray:
@@ -416,33 +419,36 @@ def _residual_extended(K: sp.csc_matrix, u: np.ndarray, f: np.ndarray) -> np.nda
 
 def _solve_near(K: sp.csc_matrix, f: np.ndarray, base: SolveResult,
                 delta: np.ndarray) -> np.ndarray | None:
-    """u = u_b + v, v refined against base's factor; None when it does not converge.
+    """The change v = u - u_b, refined against base's factor; None when it
+    does not converge.
 
-    The change v solves K v = r_b - delta, r_b = f - K_b u_b summed in
-    extended precision and delta = (K - K_b) u_b.  v is O(|K - K_b|), so
-    its float64 residuals rhs - K v are accurate enough.  Refinement stops
-    when a correction is below eps |u_b|; a K off base's pattern, an f
-    other than base's, or no such correction within _NEAR_STEPS steps
-    gives None.
+    v solves K v = r_b - delta, r_b = f - K_b u_b summed in extended
+    precision and delta = (K - K_b) u_b.  v is O(|K - K_b|), so its float64
+    residuals rhs - K v are accurate enough.  Refinement stops when a
+    correction is below 4 eps |v|, so that v, and f.v, carry no error of
+    the size of u_b's rounding.  When _NEAR_STEPS corrections do not get
+    there, v is still taken if the last one was below eps |u_b|.  A K off
+    base's pattern, an f other than base's, or neither test met gives None.
     """
     K_b, u_b = base.K, base.u
     if not (base.factor is not None and np.array_equal(K.indptr, K_b.indptr)
             and np.array_equal(K.indices, K_b.indices) and np.array_equal(f, base.f)):
         return None
     rhs = base.exact_residual - delta
-    tol = np.finfo(float).eps * np.linalg.norm(u_b)
+    eps = np.finfo(float).eps
     v = np.zeros_like(u_b)
     r = rhs
-    for _ in range(_NEAR_STEPS):
+    for k in range(_NEAR_STEPS):
+        if k:
+            r = rhs - K @ v
         dv = base.factor.solve(r)
         v += dv
         step = np.linalg.norm(dv)
         if not np.isfinite(step):
             return None
-        if step <= tol:
-            return u_b + v
-        r = rhs - K @ v
-    return None
+        if step <= 4.0 * eps * np.linalg.norm(v):
+            return v
+    return v if step <= eps * np.linalg.norm(u_b) else None
 
 
 def solve(K: sp.spmatrix, f: np.ndarray, layout: BandLayout | None = None,
@@ -464,8 +470,9 @@ def solve(K: sp.spmatrix, f: np.ndarray, layout: BandLayout | None = None,
     from stiffness_change_product.  K is then not factored: only the
     change v = u - u_b is solved for, refined against base's factor
     (_solve_near), so the error of u_b is common to every solve against
-    one base and cancels from their differences.  When the refinement does
-    not converge, K is factored and corrected as without near.
+    one base and cancels from their differences, and J_change = f.v is
+    the change of J without J's rounding.  When the refinement does not
+    converge, K is factored and corrected as without near.
     """
     f = np.asarray(f, dtype=float).ravel()
     K = K.tocsc()
@@ -475,7 +482,8 @@ def solve(K: sp.spmatrix, f: np.ndarray, layout: BandLayout | None = None,
     if fnorm == 0.0:
         return SolveResult(u=np.zeros_like(f), J=0.0, residual=0.0, K=K, f=f)
     factor = None
-    u = None if near is None else _solve_near(K, f, *near)
+    v = None if near is None else _solve_near(K, f, *near)
+    u = None if v is None else near[0].u + v
     if u is None:
         try:
             factor = splu(K, layout)
@@ -491,7 +499,8 @@ def solve(K: sp.spmatrix, f: np.ndarray, layout: BandLayout | None = None,
         raise SingularSystemError(
             f"solve residual {residual:.3e} exceeds {_RESIDUAL_ABORT:.0e}; "
             + _singular_diagnostic(K))
-    return SolveResult(u=u, J=float(f @ u), residual=residual, K=K, f=f, factor=factor)
+    return SolveResult(u=u, J=float(f @ u), residual=residual, K=K, f=f, factor=factor,
+                       J_change=None if v is None else float(f @ v))
 
 
 def analyze(field_values, mesh: Mesh, material: Material,

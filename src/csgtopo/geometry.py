@@ -12,22 +12,35 @@ so the resulting field is differentiable in every polygon parameter.
 Signed distances are negative inside a shape.  A field holds one value per
 element of an fea.Mesh, sampled at its centre, in the order fea states.
 
-rasterize_with_tape runs the chain for all n_p primitives, an (n_p, 3 + S)
-array of rows, in one call on a sides-first (n_p, S, n_cells) array and
-keeps one batched ProjectionTape; projection_param_grad pulls per-cell
-sensitivities of every primitive (and of several objectives stacked on
-leading axes) back through that tape.  rasterize_primitive is the same
-call on one row.  Sides-first, every step runs along contiguous rows of
-n_cells values rather than reducing a short trailing axis per cell, and
-the sides are summed left to right, as numpy sums a trailing axis of up to
-7 entries, so the fields equal those of a cells-first layout.
+The LogSumExp max is never formed on a stack of S half-space distances
+per cell.  On the mesh's separable centres, element (k, i) at (xs[i],
+ys[k]), each scaled distance s phi_j = X[j, i] + Y[j, k] splits into
 
-Both functions walk the primitives in blocks of about _BLOCK_DOUBLES values
-of the (n_p, S, n_cells) stack, so a block's intermediates stay in cache
-between the steps of the chain instead of each step streaming the whole
-stack through memory.  No step mixes primitives: every value gets the same
-operations in the same order as in a one-primitive call, so the results do
-not depend on where the block edges fall.
+    X[j, i] = s (xs[i] - cx) cos_j        Y[j, k] = s ((ys[k] - cy) sin_j - d_j)
+
+with s = t / l0, so every term of the sum factors, exp(X + Y) = exp(X)
+exp(Y).  Each table is shifted by its own maximum over the sides, alpha_i
+of X and beta_k of Y, so that Ex = exp(X - alpha) and Ey = exp(Y - beta)
+lie in (0, 1], and the sum over the sides is one (ny, S) @ (S, nx) product
+per primitive:
+
+    s phi = alpha_i + beta_k + log Z,        Z = Ey^T @ Ex.
+
+That takes S (nx + ny) exponentials in place of S nx ny.  A cell's largest
+term is at least exp(-min(span_j X, span_j Y)), where span_j X <= 2 s
+|x - cx|; config.ProblemSpec.validate keeps that span below the point
+where exp underflows.  The softmax weight of side j at cell (k, i) is
+Ey[j, k] Ex[j, i] / Z[k, i], so the pullback is two products of the
+per-cell chain, divided by Z, with the tables (projection_param_grad).
+
+rasterize_with_tape runs the chain for all n_p primitives, an (n_p, 3 + S)
+array of rows, in one call and keeps one batched ProjectionTape;
+projection_param_grad pulls per-cell sensitivities of every primitive (and
+of several objectives stacked on leading axes) back through that tape.
+rasterize_primitive is the same call on one row.  No step mixes
+primitives: every value gets the same operations as in a one-primitive
+call, and each matrix product is one BLAS call per primitive, so a
+primitive's field and gradient do not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -37,7 +50,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
 if TYPE_CHECKING:
     from .fea import Mesh
@@ -47,17 +59,12 @@ __all__ = [
     "DensityField",
     "ProjectionTape",
     "base_angles",
-    "project_density",
     "rasterize_primitive",
     "rasterize_with_tape",
     "projection_param_grad",
 ]
 
 _RANGE_TOL = 1e-9
-# values of the (n_p, S, n_cells) stack one block of primitives spans in the
-# projection and its pullback (512 KiB), so a block's intermediates stay in
-# cache from one step of the chain to the next
-_BLOCK_DOUBLES = 2 ** 16
 
 
 def base_angles(sides: int) -> np.ndarray:
@@ -110,79 +117,92 @@ class DensityField:
         self.values = np.clip(values, 0.0, 1.0)
 
 
-def _smooth_max(phi: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(1/s)-scaled LogSumExp over axis -2 (the sides) and its softmax weights.
+def _threshold_chain(r, beta: float, out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold filter value and derivative at r, sharing one tanh; it fixes 0, 1/2, 1.
 
-    The max is subtracted before exponentiation so the exponents never
-    overflow; the result always dominates the exact maximum.  phi is
-    overwritten with the weights.
+    out, two arrays of r's shape, receives them in place of fresh arrays;
+    the first may be r itself.
     """
-    m = phi.max(axis=-2)
-    phi -= m[..., None, :]
-    phi *= s
-    np.exp(phi, out=phi)
-    z = phi[..., 0, :].copy()
-    for j in range(1, phi.shape[-2]):  # np.sum adds 8 or more sides pairwise
-        z += phi[..., j, :]
-    phi /= z[..., None, :]
-    return m + np.log(z) / s, phi
-
-
-def _threshold_chain(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold filter value and derivative at r, sharing one tanh; it fixes 0, 1/2, 1."""
     th = math.tanh(0.5 * beta)
-    u = np.tanh(beta * (r - 0.5))
-    return (th + u) / (2.0 * th), beta * (1.0 - u * u) / (2.0 * th)
+    value, slope = out if out is not None else (np.empty(np.shape(r)), np.empty(np.shape(r)))
+    u = np.subtract(r, 0.5, out=slope)
+    u *= beta
+    np.tanh(u, out=u)
+    np.add(th, u, out=value)
+    value /= 2.0 * th
+    np.multiply(u, u, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    slope *= beta
+    slope /= 2.0 * th
+    return value, slope
 
 
-def project_density(phi, cfg: ProjectionConfig):
-    """Sigmoid projection of a signed distance: interior (phi < 0) maps near 1."""
-    return expit(-(cfg.gamma / cfg.l0) * np.asarray(phi, float))
+def _sigmoid_projection(x: np.ndarray) -> np.ndarray:
+    """The sigmoid 1 / (1 + exp(x)) of x = (gamma / l0) phi, written over x.
+
+    A signed distance phi < 0, inside a shape, maps near 1; where exp(x)
+    overflows the density is 0.
+    """
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
 @dataclass(eq=False)
 class ProjectionTape:
     """Intermediates of the projection of n_p primitives, kept for the pullback.
 
-    lse_weights holds the per-cell softmax weights of the half-spaces,
-    sides-first so the pullback multiplies them without a transpose;
-    d_sigmoid and d_threshold are the local derivatives of the last two
-    stages of the chain.  The arrays are allocated whole and filled one
-    block of primitives at a time; row i is what a one-primitive call
-    stores for primitive i.
+    exp_x and exp_y are the shifted factor tables Ex and Ey of the smooth
+    max, inv_z the reciprocal of their product Z per cell; d_sigmoid and
+    d_threshold are the local derivatives of the last two stages of the
+    chain.  The arrays are allocated whole and filled in one call; row i is
+    what a one-primitive call stores for primitive i.
     """
 
     cos_a: np.ndarray        # (n_p, S)
     sin_a: np.ndarray        # (n_p, S)
-    rel_x: np.ndarray        # (n_p, n_cells) x - cx
-    rel_y: np.ndarray        # (n_p, n_cells)
-    lse_weights: np.ndarray  # (n_p, S, n_cells)
+    rel_x: np.ndarray        # (n_p, nx) xs - cx
+    rel_y: np.ndarray        # (n_p, ny) ys - cy
+    exp_x: np.ndarray        # (n_p, S, nx) Ex
+    exp_y: np.ndarray        # (n_p, S, ny) Ey
+    inv_z: np.ndarray        # (n_p, n_cells) 1 / Z
     d_sigmoid: np.ndarray    # (n_p, n_cells) d rho_tilde / d phi
     d_threshold: np.ndarray  # (n_p, n_cells) d rho / d rho_tilde
 
     @classmethod
-    def empty(cls, n_p: int, sides: int, n_cells: int) -> "ProjectionTape":
+    def empty(cls, n_p: int, sides: int, nx: int, ny: int) -> "ProjectionTape":
         """A tape of unfilled arrays, for rasterize_with_tape to write into."""
-        return cls(np.empty((n_p, sides)), np.empty((n_p, sides)),
-                   np.empty((n_p, n_cells)), np.empty((n_p, n_cells)),
-                   np.empty((n_p, sides, n_cells)), np.empty((n_p, n_cells)),
-                   np.empty((n_p, n_cells)))
+        return cls(np.empty((n_p, sides)), np.empty((n_p, sides)), np.empty((n_p, nx)),
+                   np.empty((n_p, ny)), np.empty((n_p, sides, nx)), np.empty((n_p, sides, ny)),
+                   *np.empty((3, n_p, nx * ny)))
 
     def __getitem__(self, primitives: slice) -> "ProjectionTape":
         """The tape of a slice of the primitives, as views of these arrays."""
         return ProjectionTape(*(getattr(self, f.name)[primitives] for f in fields(self)))
 
-    @property
-    def block(self) -> int:
-        """Primitives per block: at most _BLOCK_DOUBLES values of the stack,
-        but one primitive at least."""
-        _, sides, n_cells = self.lse_weights.shape
-        return max(1, _BLOCK_DOUBLES // (sides * n_cells))
 
+def _factored_lse(x_terms: np.ndarray, y_terms: np.ndarray, z: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """log sum_j exp(X[j, i] + Y[j, k]) into out[..., k, i], for stacked
+    sides-first tables X, (S, nx), and Y, (S, ny).
 
-def _blocks(n_p: int, step: int) -> list[slice]:
-    """Slices of step consecutive primitives, the last one possibly shorter."""
-    return [slice(lo, min(lo + step, n_p)) for lo in range(0, n_p, step)]
+    The tables are overwritten with Ex = exp(X - alpha) and Ey = exp(Y -
+    beta), shifted by their maxima over the sides, and z receives Z = Ey^T
+    @ Ex, so that out = alpha + beta + log Z.
+    """
+    alpha = x_terms.max(axis=-2)
+    x_terms -= alpha[..., None, :]
+    np.exp(x_terms, out=x_terms)
+    beta = y_terms.max(axis=-2)
+    y_terms -= beta[..., None, :]
+    np.exp(y_terms, out=y_terms)
+    np.matmul(y_terms.swapaxes(-1, -2), x_terms, out=z)
+    np.log(z, out=out)
+    out += alpha[..., None, :]
+    out += beta[..., None]
+    return out
 
 
 def rasterize_with_tape(rows: np.ndarray, mesh: Mesh, cfg: ProjectionConfig,
@@ -195,37 +215,33 @@ def rasterize_with_tape(rows: np.ndarray, mesh: Mesh, cfg: ProjectionConfig,
     and the tape of the whole chain.  out, a densities array and a tape
     of C-contiguous arrays of those shapes, is filled and returned in place
     of fresh arrays, so a caller that projects every iteration reuses one
-    set.
-
-    The half-spaces are built from the mesh's separable coordinates:
-    (x_i - cx) cos on (S, nx) plus (y_j - cy) sin on (S, ny), broadcast
-    into the (S, ny, nx) cells of each primitive.  Point e = j*nx + i has
-    x = xs[i] and y = ys[j] exactly, so the terms are those of the
-    per-cell products and the stack is the same bit for bit.
+    set.  Every step writes into those arrays: the densities hold s phi,
+    then (gamma / l0) phi, then rho_tilde, then rho.
     """
     n_p, sides = rows.shape[0], rows.shape[1] - 3
-    nx, ny, n_cells = mesh.nx, mesh.ny, mesh.n_elements
-    rho, tape = out if out is not None else (np.empty((n_p, n_cells)),
-                                             ProjectionTape.empty(n_p, sides, n_cells))
+    nx, ny = mesh.nx, mesh.ny
+    rho, tape = out if out is not None else (np.empty((n_p, nx * ny)),
+                                             ProjectionTape.empty(n_p, sides, nx, ny))
+    s = cfg.t / cfg.l0
     ang = rows[:, 2, None] + base_angles(sides)
     cos_a = np.cos(ang, out=tape.cos_a)
     sin_a = np.sin(ang, out=tape.sin_a)
-    rel_xs = mesh.xs - rows[:, 0, None]             # (n_p, nx)
-    rel_ys = mesh.ys - rows[:, 1, None]             # (n_p, ny)
-    tape.rel_x.reshape(n_p, ny, nx, copy=False)[...] = rel_xs[:, None]
-    tape.rel_y.reshape(n_p, ny, nx, copy=False)[...] = rel_ys[..., None]
-    for b in _blocks(n_p, tape.block):
-        phi_hat = tape.lse_weights[b]
-        x_term = rel_xs[b, None] * cos_a[b, :, None]    # (n_b, S, nx)
-        y_term = rel_ys[b, None] * sin_a[b, :, None]    # (n_b, S, ny)
-        np.add(x_term[..., None, :], y_term[..., None],
-               out=phi_hat.reshape(-1, sides, ny, nx, copy=False))
-        phi_hat -= rows[b, 3:, None]
-        # overwrites the block's half-spaces with their softmax weights
-        phi, _ = _smooth_max(phi_hat, cfg.t / cfg.l0)
-        rho_tilde = project_density(phi, cfg)
-        tape.d_sigmoid[b] = -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde)
-        rho[b], tape.d_threshold[b] = _threshold_chain(rho_tilde, cfg.beta)
+    rel_x = np.subtract(mesh.xs, rows[:, 0, None], out=tape.rel_x)
+    rel_y = np.subtract(mesh.ys, rows[:, 1, None], out=tape.rel_y)
+    x_terms = np.multiply((s * cos_a)[..., None], rel_x[:, None], out=tape.exp_x)
+    y_terms = np.multiply(sin_a[..., None], rel_y[:, None], out=tape.exp_y)
+    y_terms -= rows[:, 3:, None]
+    y_terms *= s
+    z = tape.inv_z.reshape(n_p, ny, nx, copy=False)
+    _factored_lse(x_terms, y_terms, z, rho.reshape(n_p, ny, nx, copy=False))
+    np.reciprocal(z, out=z)
+    # (gamma / l0) phi = (gamma / t) s phi
+    rho *= cfg.gamma / cfg.t
+    rho_tilde = _sigmoid_projection(rho)
+    d_sigmoid = np.subtract(1.0, rho_tilde, out=tape.d_sigmoid)
+    d_sigmoid *= rho_tilde
+    d_sigmoid *= -(cfg.gamma / cfg.l0)
+    _threshold_chain(rho_tilde, cfg.beta, out=(rho, tape.d_threshold))
     np.clip(rho, 0.0, 1.0, out=rho)
     return rho, tape
 
@@ -239,37 +255,34 @@ def rasterize_primitive(row: np.ndarray, mesh: Mesh,
 
 
 def projection_param_grad(tape: ProjectionTape, seed: np.ndarray,
-                          scratch: np.ndarray | None = None):
+                          overwrite_seed: bool = False):
     """Pull per-cell sensitivities back to every primitive's (cx, cy, theta, d).
 
     seed[..., i, e] is d(objective)/d(rho[i, e]) for primitive i; leading
     axes stack independent objectives.  Returns (d_cx, d_cy, d_theta, d_d),
     the first three shaped seed.shape[:-1] and d_d with a trailing S axis.
-    scratch, a flat array of at least 2 * seed[..., :tape.block, :].size
-    doubles, holds each block's chain products; one is allocated when it
-    is omitted.
+    With overwrite_seed, a C-contiguous float seed holds the chain below in
+    place of a fresh array of its size.
+
+    With c the seed times the chain's derivatives, divided by Z, side j
+    collects a_j = sum_k,i Ey[j, k] c[k, i] Ex[j, i], and the moments sx_j
+    and sy_j of the same sum with rel_x[i] and rel_y[k].  P = [Ex, Ex
+    rel_x] @ c^T, one (2S, nx) @ (nx, ny) product per primitive and
+    objective, holds the inner sums over i of both; a_j, sx_j and sy_j are
+    then sums over k of P against Ey, and against Ey rel_y.
     """
-    weights = tape.lse_weights
-    n_p, sides, n_cells = weights.shape
-    if scratch is None:
-        scratch = np.empty(2 * seed[..., :tape.block, :].size)
-    # a trailing unit axis makes each primitive's result a contiguous
-    # (S, 1) matrix, so matmul writes it with the same gemv as a fresh array
-    a, sx, sy = np.empty((3,) + seed.shape[:-2] + (n_p, sides, 1))
-    for b in _blocks(n_p, tape.block):
-        seed_b = seed[..., b, :]
-        # both are contiguous like fresh arrays, so each gemv is the same
-        chain, moment = scratch[:2 * seed_b.size].reshape((2,) + seed_b.shape, copy=False)
-        np.multiply(seed_b, tape.d_threshold[b], out=chain)
-        chain *= tape.d_sigmoid[b]
-        # one gemv W_i v_i per primitive and objective, as on a single
-        # primitive; a stacked gemm would sum in another order
-        np.matmul(weights[b], chain[..., None], out=a[..., b, :, :])
-        np.multiply(chain, tape.rel_x[b], out=moment)
-        np.matmul(weights[b], moment[..., None], out=sx[..., b, :, :])
-        np.multiply(chain, tape.rel_y[b], out=moment)
-        np.matmul(weights[b], moment[..., None], out=sy[..., b, :, :])
-    a, sx, sy = a[..., 0], sx[..., 0], sy[..., 0]
+    n_p, sides, nx = tape.exp_x.shape
+    ny = tape.exp_y.shape[-1]
+    chain = np.multiply(seed, tape.d_threshold, out=seed if overwrite_seed else None)
+    chain *= tape.d_sigmoid
+    chain *= tape.inv_z
+    ex = np.empty((n_p, 2 * sides, nx))
+    ex[:, :sides] = tape.exp_x
+    np.multiply(tape.exp_x, tape.rel_x[:, None], out=ex[:, sides:])
+    p = np.matmul(ex, chain.reshape(seed.shape[:-1] + (ny, nx)).swapaxes(-1, -2))
+    a = np.vecdot(p[..., :sides, :], tape.exp_y)
+    sx = np.vecdot(p[..., sides:, :], tape.exp_y)
+    sy = np.vecdot(p[..., :sides, :], tape.exp_y * tape.rel_y[:, None])
     d_cx = -np.vecdot(tape.cos_a, a)
     d_cy = -np.vecdot(tape.sin_a, a)
     d_theta = np.vecdot(tape.cos_a, sy) - np.vecdot(tape.sin_a, sx)

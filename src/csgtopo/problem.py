@@ -137,6 +137,10 @@ class Model:
         # the solve and root field a reusing forward keeps for later ones to
         # solve against; None when there is none, () when reuse has ended
         self._kept: tuple | None = None
+        # J of the last forward less the kept solve's, as f.v without the
+        # rounding of J: 0.0 on the forward that kept its solve, None on a
+        # forward that solved against no kept solve
+        self.J_change: float | None = None
         # seconds the last forward spent in projection, tree and solve
         self.timings: dict[str, float] = {}
 
@@ -183,9 +187,11 @@ class Model:
         later one solves only for its change against that solve's factor
         (fea.solve's near).  One that has to factor after all ends the
         reuse until the next plain forward, and one that raises drops the
-        kept solve.
+        kept solve.  J_change is set to the change of J against the kept
+        solve, for a finite difference to take.
         """
         self._last = None
+        self.J_change = None
         kept = self._kept if reuse else None
         self._kept = None       # kept again only by a reusing pass that completes
         t0 = time.perf_counter()
@@ -203,8 +209,10 @@ class Model:
                 # alive beside the factor, so that it adds nothing to the peak
                 result.exact_residual
                 self._kept = result, root
+                self.J_change = 0.0
             elif result.factor is None:
                 self._kept = kept
+                self.J_change = result.J_change
             else:
                 # the kept solve is too far from these designs, or too badly
                 # conditioned, for its factor to serve them
@@ -225,18 +233,17 @@ class Model:
         weights, u = self._last
         work = self._work
         if work.tree is None:
-            # allocated after the first solve, so they reuse the memory it freed
-            n_p, n_cells = self.spec.n_primitives, self.mesh.n_elements
-            work.tree = csg.walk_scratch(n_p, n_cells, 2)
-            work.chain = np.empty(4 * work.tape.block * n_cells)
+            # allocated after the first solve, so it reuses the memory that freed
+            work.tree = csg.walk_scratch(self.spec.n_primitives, self.mesh.n_elements, 2)
         seeds = np.stack([
             sensitivity.grad_compliance(u, work.node_values[0], self.mesh,
                                         self.material, self.k0),
             sensitivity.grad_volume(self.mesh, self.spec.vf_star)])
         leaf_seeds, weight_grads = csg.tree_backward(weights, work.node_values,
                                                      seeds, scratch=work.tree)
+        # the leaf seeds are the walk's scratch, free to hold the chain
         d_cx, d_cy, d_th, d_d = geometry.projection_param_grad(work.tape, leaf_seeds,
-                                                               scratch=work.chain)
+                                                               overwrite_seed=True)
         b = weights[self.free_nodes]
         gb = weight_grads[:, self.free_nodes]
         d_b = self.spec.softmax_scale * b * (gb - np.vecdot(b, gb)[..., None])
@@ -254,9 +261,9 @@ class Model:
         are written.
         """
         if self._work is None:
-            n_p, n_cells = self.spec.n_primitives, self.mesh.n_elements
-            tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, n_cells)
-            self._work = _Workspace(tape, np.empty((2 * n_p - 1, n_cells)))
+            n_p, mesh = self.spec.n_primitives, self.mesh
+            tape = geometry.ProjectionTape.empty(n_p, self.spec.sides, mesh.nx, mesh.ny)
+            self._work = _Workspace(tape, np.empty((2 * n_p - 1, mesh.n_elements)))
         work = self._work
         changed = (np.arange(len(rows)) if work.rows is None else np.flatnonzero(
             (rows.view(np.int64) != work.rows.view(np.int64)).any(axis=1)))
@@ -311,14 +318,13 @@ class _Workspace:
     pages from the system, whose first touches cost milliseconds per step
     on a deep tree.  The leaf fields are the leaf rows of node_values.
     The first forward allocates the tape and node fields, the first
-    gradients the two scratch arrays of the pullbacks.
+    gradients the tree walk's scratch.
     """
 
     tape: geometry.ProjectionTape
     node_values: np.ndarray             # (n_nodes, n_cells), root in row 0
     rows: np.ndarray | None = None      # (n_p, 3 + S) rows the leaf fields hold
     tree: np.ndarray | None = None      # csg.walk_scratch for two seeds
-    chain: np.ndarray | None = None     # projection_param_grad's, for two seeds
 
 
 # -- optimization loop -------------------------------------------------------

@@ -15,6 +15,7 @@ finite-difference harness verifies any entry of either gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +101,17 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
     each in [0, full_size); frozen entries come back marked skipped.  The
     report is sorted worst first.  model must offer evaluate(z) -> (J, g);
     forward_gradients(z) -> (J, g, dJ, dg), which is forward(z) followed by
-    gradients(); full_size, full_to_free and label_for_index.  A Model
-    keeps the workspace of each pass, so an evaluate re-projects only the
-    primitive its entry moves, and its evaluate is forward(z, reuse=True):
-    one check factors twice, in forward_gradients and in the first
-    evaluate, and every later evaluate solves for its change against that
-    evaluate's factor.  Both sides of each difference then share the
-    rounding of that one solve, which cancels.
+    gradients(); J_change; full_size, full_to_free and label_for_index.  A
+    Model keeps the workspace of each pass, so an evaluate re-projects only
+    the primitive its entry moves, and its evaluate is forward(z,
+    reuse=True): one check factors twice, in forward_gradients and in the
+    first evaluate, and every later evaluate solves for its change against
+    that evaluate's factor.  Both sides of each difference then share the
+    rounding of that one solve, which cancels, and the difference of J is
+    taken between the two sides' J_change, the changes f.v against that
+    solve, so that J's own rounding, about ulp(J) / 2h, does not enter it
+    either.  An entry with a side that solved against no kept solve (its
+    J_change is None) differences J.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -116,6 +121,11 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
             raise ValueError(f"index {idx} out of range [0, {model.full_size})")
     _, _, dj, dg = model.forward_gradients(z)
 
+    def evaluate(zz):
+        j_val, g_v = model.evaluate(zz)
+        change = model.J_change
+        return j_val, g_v, math.nan if change is None else change
+
     entries = []
     for idx in indices:
         label = model.label_for_index(idx)
@@ -123,7 +133,9 @@ def fd_check(model, z: np.ndarray, indices=None, step: float = 1e-6) -> list[FdE
         if free < 0:
             entries.append(FdEntry(index=idx, label=label, skipped=True))
             continue
-        fd_j, fd_g = map(float, central_difference(model.evaluate, z, free, step))
+        fd_j, fd_g, fd_change = map(float, central_difference(evaluate, z, free, step))
+        if math.isfinite(fd_change):
+            fd_j = fd_change
         entries.append(FdEntry(
             index=idx, label=label,
             analytic_j=float(dj[free]), fd_j=fd_j, rel_err_j=_rel_err(dj[free], fd_j),

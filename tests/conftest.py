@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hypothesis
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from csgtopo import ProblemSpec, fea
 from csgtopo.csg import combine, one_hot, tree_backward
@@ -56,6 +57,42 @@ def halfspace_sdfs(row, x, y) -> np.ndarray:
     y = np.asarray(y, float)
     return ((x - row[0])[..., None] * np.cos(ang)
             + (y - row[1])[..., None] * np.sin(ang) - row[3:])
+
+
+def stacked_chain(row, x, y, cfg: ProjectionConfig) -> dict[str, np.ndarray]:
+    """The projection chain of one polygon at points x, y, run on the stack
+    of its S half-space distances per point: the reference the factored
+    projection of geometry is compared to.
+
+    Returns the densities rho, the softmax weights of the sides (a
+    trailing S axis), and d_sigmoid and d_threshold, the derivatives of the
+    last two stages; the sigmoid is scipy's expit.
+    """
+    s = cfg.t / cfg.l0
+    phi_hat = halfspace_sdfs(row, x, y)
+    m = phi_hat.max(axis=-1)
+    e = np.exp((phi_hat - m[..., None]) * s)
+    z = e.sum(axis=-1)
+    rho_tilde = expit(-(cfg.gamma / cfg.l0) * (m + np.log(z) / s))
+    th = math.tanh(0.5 * cfg.beta)
+    u = np.tanh(cfg.beta * (rho_tilde - 0.5))
+    return {"rho": np.clip((th + u) / (2.0 * th), 0.0, 1.0),
+            "weights": e / z[..., None],
+            "d_sigmoid": -(cfg.gamma / cfg.l0) * rho_tilde * (1.0 - rho_tilde),
+            "d_threshold": cfg.beta * (1.0 - u * u) / (2.0 * th)}
+
+
+def stacked_pullback(row, seed: np.ndarray, x, y, cfg: ProjectionConfig) -> np.ndarray:
+    """d(seed . rho)/d(cx, cy, theta, d[0..S-1]) of one polygon at points x,
+    y, through the softmax weights of stacked_chain."""
+    chain = stacked_chain(row, x, y, cfg)
+    c = seed * chain["d_threshold"] * chain["d_sigmoid"]
+    ang = row[2] + base_angles(len(row) - 3)
+    a = c @ chain["weights"]
+    sx = (c * (np.asarray(x, float) - row[0])) @ chain["weights"]
+    sy = (c * (np.asarray(y, float) - row[1])) @ chain["weights"]
+    return np.concatenate([[-np.cos(ang) @ a, -np.sin(ang) @ a,
+                            np.cos(ang) @ sy - np.sin(ang) @ sx], -a])
 
 
 def node_partials(rx: float, ry: float, b) -> tuple[float, float, np.ndarray]:

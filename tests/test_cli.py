@@ -279,12 +279,13 @@ def test_readme_ranges_are_the_fields_rules():
 
 # the names a ConfigError may start with when one field holds a bad value:
 # the field itself; tree_depth for a factor of the projection tape's budget;
+# lse_scale for centre bounds past the smooth max's underflow rule;
 # the fields whose defaults come from the drawn one; and benchmark, whose
 # rule forbids explicit boundary conditions beside a benchmark name
 ALSO_NAMED = {
     "nx": {"tree_depth"}, "ny": {"tree_depth"}, "sides": {"tree_depth", "theta_bounds"},
     "e0": {"emin"}, "lx": {"cx_bounds", "d_bounds"}, "ly": {"cy_bounds"},
-    "fixed_dofs": {"benchmark"}, "loads": {"benchmark"},
+    "fixed_dofs": {"benchmark"}, "loads": {"benchmark"}, "cx_bounds": {"lse_scale"},
 }
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(),
@@ -369,8 +370,11 @@ def test_run_underflowing_compliance_exits_2_with_history(tmp_path, capsys):
 
 def test_run_zero_gradient_exits_2_with_history(tmp_path, capsys):
     # every primitive starts far outside the domain, so both gradients are
-    # exactly zero and the KKT residual with them: no convergence to report
-    doc = {"nx": 12, "ny": 6, "tree_depth": 2, "sides": 4, "cx_bounds": [1e300, 1e301]}
+    # exactly zero and the KKT residual with them: no convergence to report.
+    # A smooth lse_scale lets the centres lie that far under its underflow
+    # rule, and the sigmoid still saturates to exactly 0 there
+    doc = {"nx": 12, "ny": 6, "tree_depth": 2, "sides": 4, "lse_scale": 1.0,
+           "cx_bounds": [1000.0, 2000.0]}
     out = tmp_path / "o"
     assert main(["run", "--config", str(write_config(tmp_path, doc)),
                  "--out", str(out)]) == 2

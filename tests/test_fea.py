@@ -400,6 +400,29 @@ def test_near_solve_matches_the_fresh_solve(case, monkeypatch):
     assert near.residual < 1e-10
 
 
+@pytest.mark.parametrize("n_moved", [1, 100])
+@pytest.mark.parametrize("case", sorted(NEAR_CASES))
+def test_near_solve_reports_the_change_of_j_below_its_rounding(case, n_moved):
+    # J_change = f.v against v refined to convergence with extended-precision
+    # residuals: it is off by far less than eps J, the rounding of J alone,
+    # which a difference of two J carries (the worst measured was 4e-4 eps J)
+    mesh, bcs, rho, f, band, base = near_system(case)
+    moved = np.array(rho)
+    moved[np.random.default_rng(1).choice(mesh.n_elements, n_moved, replace=False)] += 1e-6
+    near, K = near_solve(moved, rho, base, mesh, bcs, f, band)
+    m = Material()
+    delta = stiffness_change_product(moved, rho, base.u, mesh, m,
+                                     element_stiffness_template(m.nu), bcs.fixed_dofs)
+    rhs = base.exact_residual - delta
+    v = np.zeros_like(base.u)
+    for _ in range(10):
+        v = v + base.factor.solve(fea._residual_extended(K, v, rhs))
+    want = float(f.astype(np.longdouble) @ v.astype(np.longdouble))
+    assert abs(near.J_change - want) <= 1e-2 * np.finfo(float).eps * base.J
+    assert near.J == float(f @ near.u)
+    assert solve(K, f, band).J_change is None
+
+
 def test_stiffness_change_product_equals_the_assembled_difference():
     # (K - K_b) u on the free dofs, from two fields two elements apart
     mesh, bcs, rho, *_ = near_system("mbb_60x30")

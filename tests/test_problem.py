@@ -92,7 +92,7 @@ def test_message_shows_the_bad_entry_briefly(field, value, message):
 
 @pytest.mark.parametrize("overrides", [
     {"tree_depth": 30},
-    {"tree_depth": 10, "sides": 4, "nx": 129, "ny": 128},    # one column over
+    {"tree_depth": 10, "sides": 4, "nx": 167, "ny": 128},    # one column over
     {"tree_depth": 1, "sides": 3, "nx": 10 ** 6, "ny": 10 ** 6},
     # integers too long to print, which the message must not try to
     {"sides": 10 ** 5000}, {"nx": 10 ** 5000}, {"tree_depth": 10 ** 5000},
@@ -110,13 +110,46 @@ def test_oversized_tape_is_rejected_before_allocation(overrides):
 
 
 def test_tape_budget_admits_every_documented_config():
-    # 2^10 * 4 * 128 * 128 doubles is the budget exactly
-    ProblemSpec(tree_depth=10, sides=4, nx=128, ny=128).validate()
+    # 2^10 * (3 * 166 * 128 + 5 * (166 + 128) + 8) doubles is just under the
+    # budget, and one column more is over it
+    ProblemSpec(tree_depth=10, sides=4, nx=166, ny=128).validate()
     # the largest config of the tests and the README, the 100x50 depth-6
     # cantilever, stays far below it
     spec = ProblemSpec(nx=100, ny=50, tree_depth=6, benchmark="mid_cantilever")
     spec.validate()
     assert 2 ** 6 * 6 * 100 * 50 * 30 < MAX_TAPE_DOUBLES
+
+
+# the largest lse_scale on the default 60x30 domain with the default centre
+# bounds [3, 57]: 2 (lse_scale / l0) max |x - cx| = 700 at |x - cx| = 57
+LSE_SCALE_BOUND = 700.0 * math.hypot(60.0, 30.0) / (2.0 * 57.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"lse_scale": 1.001 * LSE_SCALE_BOUND},
+    {"lse_scale": 1e308},
+    # centres far outside the domain push the same bound from the other side
+    {"cx_bounds": (1e300, 1e301)},
+    {"cx_bounds": (-500.0, 100.0)},
+])
+def test_a_smooth_max_that_can_underflow_is_rejected(overrides):
+    with pytest.raises(ConfigError, match="^lse_scale: .* cx_bounds"):
+        ProblemSpec(**overrides).validate()
+
+
+def test_the_smooth_max_stays_normal_just_inside_its_bound():
+    # the factored smooth max's largest term per cell is at least
+    # exp(-min(span X, span Y)), so just inside the rule no Z underflows: a
+    # forward and gradients pass at the corners of the design box runs
+    # without the divide warning log(0) would raise, with finite results
+    spec = ProblemSpec(nx=60, ny=30, tree_depth=2, lse_scale=0.999 * LSE_SCALE_BOUND)
+    spec.validate()
+    model = Model(spec)
+    for z in (np.zeros(model.n), np.ones(model.n), np.tile([0.0, 1.0], model.n)[:model.n]):
+        model.forward(z)
+        tape = model._work.tape
+        assert np.isfinite(tape.inv_z).all() and (tape.inv_z < 1 / np.finfo(float).tiny).all()
+        assert all(np.isfinite(g).all() for g in model.gradients())
 
 
 @pytest.mark.parametrize("doc,name", [
@@ -392,13 +425,10 @@ def test_evaluate_projects_only_the_changed_primitive(monkeypatch):
 
 @pytest.mark.parametrize("sides", range(3, 9))
 def test_forward_leaf_fields_equal_one_polygon_projections(sides):
-    # forward projects the rows in blocks; the snapped benchmark compliance
-    # projects each row of denormalize on its own.
-    # 8 primitives in blocks of 7: the last block is ragged
+    # forward projects all rows in one batch; the snapped benchmark
+    # compliance projects each row of denormalize on its own
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides)
     model = Model(spec)
-    per_block = geometry._BLOCK_DOUBLES // (sides * model.mesh.n_elements)
-    assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
     z = initialize(spec)
     model.forward(z)
     leaves = model._work.node_values[spec.n_operators:]
@@ -477,15 +507,38 @@ def test_evaluate_factors_only_until_it_keeps_a_solve(small_spec, monkeypatch):
     assert [factorizations(model.evaluate, z) for z in (z0, z1)] == [1, 0]
 
 
+def test_evaluate_reports_the_change_of_j_against_its_kept_solve(small_spec):
+    # J_change: None on a forward, 0.0 on the evaluate that keeps its solve,
+    # J - J_kept without J's rounding on those solved against it, and None
+    # again once a far design has ended the reuse
+    model = Model(small_spec)
+    z0 = connected_design(small_spec)
+    z1 = moved(z0, 3 * model.spec.n_primitives + 5)
+    far = np.random.default_rng(4).random(model.n)
+    model.forward(z0)
+    assert model.J_change is None
+    j_kept, _ = model.evaluate(z0)
+    assert model.J_change == 0.0
+    j1, _ = model.evaluate(z1)
+    assert model.J_change != 0.0
+    assert abs(model.J_change - (j1 - j_kept)) <= 2 * np.spacing(j_kept)
+    for z in (far, z1):
+        model.evaluate(z)
+        assert model.J_change is None
+    model.forward(z0)
+    assert model.J_change is None
+
+
 # -- the forward and gradient workspace ----------------------------------------------
 
-TAPE_FIELDS = ("cos_a", "sin_a", "rel_x", "rel_y", "lse_weights", "d_sigmoid",
-               "d_threshold")
+TAPE_FIELDS = [field.name for field in dataclasses.fields(geometry.ProjectionTape)]
 
 
 def test_forward_and_gradients_reuse_the_workspace():
     # the deep-tree benchmark's problem: after the first pass, a forward and
-    # gradients pass fills the Model's arrays instead of allocating a tape
+    # gradients pass fills the Model's tape and fields, and the pullback
+    # writes its chain into the tree walk's scratch, so the pass allocates
+    # less than that chain would take: one field stack per seed
     model = Model(ProblemSpec(nx=32, ny=16, tree_depth=8,
                               frozen_operators={0: "difference"}))
     rng = np.random.default_rng(3)
@@ -499,19 +552,18 @@ def test_forward_and_gradients_reuse_the_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    field_stack_bytes = model._work.node_values[model.spec.n_operators:].nbytes
+    assert peak < 2 * field_stack_bytes
+    # the tape is smaller than the stack of half-space distances it replaced
     tape_bytes = sum(getattr(model._work.tape, name).nbytes for name in TAPE_FIELDS)
-    assert tape_bytes > 10 << 20
-    assert peak < tape_bytes / 4
+    assert tape_bytes < model.spec.sides * field_stack_bytes
 
 
 @pytest.mark.parametrize("sides", [3, 8])
 def test_reused_workspace_equals_a_fresh_model(sides):
-    # 8 primitives in blocks of 7: the last block is ragged
     spec = ProblemSpec(nx=9000 // (32 * sides), ny=32, tree_depth=3, sides=sides,
                        frozen_operators={1: "union"})
     model = Model(spec)
-    per_block = geometry._BLOCK_DOUBLES // (sides * model.mesh.n_elements)
-    assert 1 < per_block < spec.n_primitives and spec.n_primitives % per_block
     rng = np.random.default_rng(8)
     z0 = rng.random(model.n)
     walk = [z0, moved(z0, 2, 0.05), rng.random(model.n), np.array(z0)]

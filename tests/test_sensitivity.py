@@ -64,12 +64,13 @@ def test_volume_gradient_matches_fd_at_random_designs(small_spec):
 
 def test_saturated_outside_primitive_has_dead_gradients():
     # one primitive pushed far outside the domain through custom center
-    # bounds: its saturated projection kills the whole parameter chain
+    # bounds, as far as the smooth max's underflow rule allows: its
+    # saturated projection kills the whole parameter chain
     spec = ProblemSpec(nx=12, ny=6, tree_depth=1, sides=4,
-                       cx_bounds=(-500.0, 100.0), lx=60.0, ly=30.0)
+                       cx_bounds=(-150.0, 100.0), lx=60.0, ly=30.0)
     model = Model(spec)
     z = np.full(spec.design_size, 0.5)
-    z[0] = 0.0            # cx = -500: far outside
+    z[0] = 0.0            # cx = -150: far outside
     z[1] = 0.95           # the partner primitive carries the load
     model.forward(z)
     dj, _ = model.gradients()
@@ -234,6 +235,37 @@ def test_fd_check_evaluates_each_entry_at_plus_then_minus_step(small_spec):
     for k, idx in enumerate([3, 7]):
         plus, minus = calls[1 + 2 * k][1], calls[2 + 2 * k][1]
         assert plus[idx] == z[idx] + h and minus[idx] == z[idx] - h
+
+
+def test_fd_check_differences_the_change_of_j(small_spec):
+    # each entry's FD of J is the difference of the two evaluates' J_change,
+    # not of their J: a difference of two J is a whole multiple of ulp(J),
+    # so an FD of it at step h is one of ulp(J) / 2h
+    model = Model(small_spec)
+    z = connected_design(small_spec)
+    changes = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(model, name)
+
+        def evaluate(self, v):
+            out = model.evaluate(v)
+            changes.append((out[0], model.J_change))
+            return out
+
+    h = 1e-6
+    indices = list(range(3 * small_spec.n_primitives, model.full_size))
+    entries = {e.index: e for e in fd_check(Recorder(), z, indices=indices, step=h)}
+    assert changes[0][1] == 0.0
+    off_grid = 0
+    for k, idx in enumerate(indices):
+        (j_plus, c_plus), (j_minus, c_minus) = changes[2 * k:2 * k + 2]
+        assert entries[idx].fd_j == (c_plus - c_minus) / (2.0 * h)
+        # both J are whole multiples of the smaller one's ulp
+        steps = entries[idx].fd_j * 2.0 * h / np.spacing(min(abs(j_plus), abs(j_minus)))
+        off_grid += abs(steps - round(steps)) > 1e-3
+    assert off_grid > len(indices) / 2
 
 
 @pytest.mark.parametrize("name", ["analytic_j", "fd_j", "analytic_g", "fd_g"])
